@@ -268,8 +268,8 @@ type Solution struct {
 // Assembly is the assemble-once snapshot of a lattice's reduced global
 // system: everything about the global stage that does not depend on the
 // thermal load. Solving a scenario against a prebuilt Assembly costs one
-// RHS build plus the linear solve; the matrix scatter, compaction, and
-// Dirichlet reduction are paid once per lattice — and so is each
+// RHS build plus the linear solve; the symbolic and numeric build of the
+// reduced matrix is paid once per lattice — and so is each
 // preconditioner, built lazily on first use and cached on the Assembly per
 // concrete PrecondKind (the preconditioner depends only on the reduced
 // matrix, so every scenario, ΔT sweep, and async job on the lattice shares
@@ -493,10 +493,14 @@ func (a *Assembly) Blocked() *sparse.BCSR {
 }
 
 // NewAssembly runs the load-independent part of the global stage for the
-// problem: lattice enumeration, unit-load matrix assembly, and Dirichlet
-// reduction. The result can be placed in Problem.Assembly for every
-// scenario on the same lattice (same ROM content, dimensions, dummy layout,
-// and BC kind).
+// problem: lattice enumeration, the constrained-node mask, and the two-phase
+// build of the reduced unit-load system (see stencil). The symbolic phase
+// takes the reduced patterns from the lattice geometry alone; the numeric
+// phase sums each row's block contributions in fixed block order, so the
+// snapshot is bitwise identical at every worker count — WAL replay, router
+// failover and shard placement all re-solve to the same bytes. The result
+// can be placed in Problem.Assembly for every scenario on the same lattice
+// (same ROM content, dimensions, dummy layout, and BC kind).
 func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -506,39 +510,24 @@ func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 	}
 	start := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	lat := NewLattice(p.Bx, p.By, p.ROM.Spec.Nodes, p.ROM.Spec.Geom.Pitch, p.ROM.Spec.Geom.Height)
-	k, f := assembleGlobal(p, lat, workers)
 
-	isBC := make([]bool, lat.NumDoFs())
+	isBC := make([]bool, lat.NumNodes())
 	var bcNodes []int32
-	for id := 0; id < lat.NumNodes(); id++ {
-		var fixed bool
+	for id := range isBC {
 		switch p.BC {
 		case ClampedTopBottom:
-			fixed = lat.OnTopOrBottom(id)
+			isBC[id] = lat.OnTopOrBottom(id)
 		case PrescribedBoundary:
-			fixed = lat.OnOuterBoundary(id)
+			isBC[id] = lat.OnOuterBoundary(id)
 		}
-		if fixed {
-			isBC[3*id] = true
-			isBC[3*id+1] = true
-			isBC[3*id+2] = true
+		if isBC[id] {
 			bcNodes = append(bcNodes, int32(id))
 		}
 	}
-	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, NNZ: k.NNZ()}
-	asm.AllBC = true
-	for _, b := range isBC {
-		if !b {
-			asm.AllBC = false
-			break
-		}
-	}
+	st := newStencil(p, lat, isBC, workers)
+	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, NNZ: st.nnz(), AllBC: len(st.freeNodes) == 0}
 	if !asm.AllBC {
-		red, err := fem.Reduce(k, f, isBC)
-		if err != nil {
-			return nil, err
-		}
-		asm.Red = red
+		asm.Red = st.assemble(workers)
 	}
 	asm.BuildTime = time.Since(start)
 	return asm, nil

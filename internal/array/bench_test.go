@@ -19,18 +19,29 @@ func benchROM(b *testing.B) *rom.ROM {
 	return r
 }
 
-// BenchmarkGlobalAssembly isolates the sparse assembly of the abstract
-// global system (Eqs. 18–19 scatter + compaction).
-func BenchmarkGlobalAssembly(b *testing.B) {
-	r := benchROM(b)
-	for _, n := range []int{8, 16} {
-		b.Run(fmt.Sprintf("size=%dx%d", n, n), func(b *testing.B) {
-			p := &Problem{ROM: r, Bx: n, By: n, DeltaT: -250, BC: ClampedTopBottom}
-			lat := NewLattice(n, n, r.Spec.Nodes, r.Spec.Geom.Pitch, r.Spec.Geom.Height)
-			b.ResetTimer()
+// BenchmarkNewAssembly times the assemble-once snapshot of the reduced
+// global system — lattice, symbolic stencil and fixed-order numeric sums —
+// at the cold-path node count (5,5,5) on the smallest and largest lattice
+// shapes of the cold-lattices workload. Run with -benchmem: the allocs
+// floor in BENCH_global.json pins that the build allocates no per-entry
+// intermediaries.
+func BenchmarkNewAssembly(b *testing.B) {
+	spec := rom.PaperSpec(15, mesh.CoarseResolution())
+	spec.Nodes = [3]int{5, 5, 5}
+	r, err := rom.Build(spec, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range [][2]int{{3, 4}, {11, 12}} {
+		b.Run(fmt.Sprintf("%dx%d", d[0], d[1]), func(b *testing.B) {
+			p := &Problem{ROM: r, Bx: d[0], By: d[1], DeltaT: -250, BC: ClampedTopBottom}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k, _ := assembleGlobal(p, lat, 8)
-				if k.NNZ() == 0 {
+				asm, err := NewAssembly(p, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if asm.NNZ == 0 {
 					b.Fatal("empty assembly")
 				}
 			}

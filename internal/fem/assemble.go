@@ -58,8 +58,6 @@ func quantize(v float64) int64 { return int64(math.Round(v * 1e9)) }
 // assembly is parallel over node slabs (each goroutine owns whole matrix
 // rows, so no synchronization on values is needed) and element matrices are
 // cached by (size, material), which makes structured-array assembly cheap.
-//
-//stressvet:gang -- `workers` goroutines over disjoint node chunks
 func (m *Model) Assemble(workers int) (*Assembled, error) {
 	g := m.Grid
 	for e, id := range g.MatID {
@@ -70,10 +68,6 @@ func (m *Model) Assemble(workers int) (*Assembled, error) {
 			return nil, fmt.Errorf("fem: element %d has material id %d outside table of %d", e, id, len(m.Mats))
 		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	// Precompute the per-element matrix cache.
 	cache := map[elemKey]*ElemMats{}
 	elemMat := make([]*ElemMats, g.NumElems())
@@ -251,25 +245,29 @@ func (m *Model) Assemble(workers int) (*Assembled, error) {
 		}
 	}
 
-	var wg sync.WaitGroup
-	chunk := (nn + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nn {
-			hi = nn
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fill(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelNodes(nn, workers, fill)
 
 	k3 := &sparse.CSR{NRows: 3 * nn, NCols: 3 * nn, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
 	return &Assembled{K: k3, F: f, ActiveNode: active}, nil
+}
+
+// parallelNodes runs fn over [0, nn) split into at most workers contiguous
+// node chunks, one goroutine each, and waits for all of them. The assemblies
+// give every goroutine whole rows, so nothing but the chunking depends on
+// workers.
+//
+//stressvet:gang -- `workers` goroutines over disjoint node chunks
+func parallelNodes(nn, workers int, fn func(lo, hi int)) {
+	workers = max(1, workers)
+	var wg sync.WaitGroup
+	chunk := (nn + workers - 1) / workers
+	for lo := 0; lo < nn; lo += chunk {
+		hi := min(lo+chunk, nn)
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
 }

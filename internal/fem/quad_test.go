@@ -282,8 +282,8 @@ func TestQuadSerialParallelIdentical(t *testing.T) {
 	if a1.K.NNZ() != a8.K.NNZ() {
 		t.Fatal("nnz differs")
 	}
-	// The atomic scatter interleaves duplicates in nondeterministic order,
-	// so summation differs at roundoff relative to the matrix scale.
+	// Roundoff-tolerant view of the same property;
+	// TestQuadAssembleBitwiseAcrossWorkers pins it bit for bit.
 	var scale float64
 	for _, v := range a1.K.Vals {
 		if a := math.Abs(v); a > scale {
@@ -296,6 +296,54 @@ func TestQuadSerialParallelIdentical(t *testing.T) {
 		}
 		if math.Abs(a1.K.Vals[i]-a8.K.Vals[i]) > 1e-11*scale {
 			t.Fatal("values differ between serial and parallel quadratic assembly")
+		}
+	}
+}
+
+// TestQuadAssembleBitwiseAcrossWorkers pins the row-owner assembly: each
+// node's rows sum their incident elements in ascending element order, so
+// the matrix, the load and the active mask are the same bits at every
+// worker count — with void elements and mixed materials in the grid.
+func TestQuadAssembleBitwiseAcrossWorkers(t *testing.T) {
+	g, _ := mesh.NewGrid(mesh.UniformAxis(0, 2, 3), mesh.UniformAxis(0, 1.5, 4), mesh.UniformAxis(0, 1, 2))
+	g.MatID[1] = mesh.VoidMaterial
+	g.MatID[5] = 1
+	g.MatID[7] = mesh.VoidMaterial
+	g.MatID[8] = mesh.VoidMaterial
+	m := NewQuadModel(g, []material.Material{material.Silicon, material.Copper})
+	ref, err := m.Assemble(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 8} {
+		for rep := 0; rep < 3; rep++ {
+			got, err := m.Assemble(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.K.Vals) != len(ref.K.Vals) {
+				t.Fatalf("workers=%d: nnz %d vs %d", w, got.K.NNZ(), ref.K.NNZ())
+			}
+			for i := range ref.K.RowPtr {
+				if got.K.RowPtr[i] != ref.K.RowPtr[i] {
+					t.Fatalf("workers=%d: RowPtr[%d] differs", w, i)
+				}
+			}
+			for i := range ref.K.Vals {
+				if got.K.ColIdx[i] != ref.K.ColIdx[i] || math.Float64bits(got.K.Vals[i]) != math.Float64bits(ref.K.Vals[i]) {
+					t.Fatalf("workers=%d: entry %d differs", w, i)
+				}
+			}
+			for i := range ref.F {
+				if math.Float64bits(got.F[i]) != math.Float64bits(ref.F[i]) {
+					t.Fatalf("workers=%d: F[%d] differs", w, i)
+				}
+			}
+			for i := range ref.ActiveNode {
+				if got.ActiveNode[i] != ref.ActiveNode[i] {
+					t.Fatalf("workers=%d: ActiveNode[%d] differs", w, i)
+				}
+			}
 		}
 	}
 }

@@ -23,7 +23,10 @@ var KernelPackages = []string{
 // elements, append (unless the collected slice is subsequently sorted in the
 // same function — the canonical sort-the-keys idiom), send on channels, or
 // emit output; plus any non-test use of time.Now or math/rand, whose results
-// differ run to run. Floating-point addition is not associative, so even a
+// differ run to run; plus writes whose slot comes from a sync/atomic Add
+// (the claim-a-slot-with-a-cursor scatter), where the order entries land in
+// — and so the order they are later summed in — depends on goroutine
+// scheduling. Floating-point addition is not associative, so even a
 // "harmless" map-order accumulation changes low-order bits between runs.
 var Determinism = &Analyzer{
 	Name: "determinism",
@@ -45,6 +48,11 @@ func runDeterminism(p *Pass) {
 	for _, f := range p.Files {
 		if p.isTestFile(f.Pos()) {
 			continue
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkAtomicSlots(p, fd.Body)
+			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -250,6 +258,101 @@ func isOutputCall(p *Pass, call *ast.CallExpr) bool {
 		}
 		pn, ok := p.Info.Uses[id].(*types.PkgName)
 		return ok && pn.Imported().Path() == "fmt"
+	}
+	return false
+}
+
+// checkAtomicSlots flags, within one function body, slice or array element
+// writes and slice expressions whose index or bounds derive from a
+// sync/atomic Add result — directly or through local variables assigned
+// from one (flow-insensitive, to a fixpoint). Reading through an
+// atomically claimed index, as a chunk dispatcher does, is not flagged:
+// only the slot a value is written to makes the layout scheduling-dependent.
+func checkAtomicSlots(p *Pass, body *ast.BlockStmt) {
+	tainted := make(map[types.Object]bool)
+	derived := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				found = found || tainted[p.Info.Uses[n]]
+			case *ast.CallExpr:
+				found = found || isAtomicAdd(p, n)
+			}
+			return !found
+		})
+		return found
+	}
+	for changed := true; changed; {
+		changed = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok || id.Name == "_" {
+					continue
+				}
+				obj := p.Info.Defs[id]
+				if obj == nil {
+					obj = p.Info.Uses[id]
+				}
+				if obj != nil && !tainted[obj] && derived(as.Rhs[i]) {
+					tainted[obj] = true
+					changed = true
+				}
+			}
+			return true
+		})
+	}
+	report := func(pos token.Pos) {
+		p.Reportf(pos, "write slot derived from a sync/atomic Add: entry order depends on goroutine scheduling; give each goroutine whole rows instead")
+	}
+	written := func(e ast.Expr) {
+		if idx, ok := ast.Unparen(e).(*ast.IndexExpr); ok && derived(idx.Index) {
+			switch p.Info.TypeOf(idx.X).Underlying().(type) {
+			case *types.Slice, *types.Array, *types.Pointer:
+				report(idx.Pos())
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				written(lhs)
+			}
+		case *ast.IncDecStmt:
+			written(n.X)
+		case *ast.SliceExpr:
+			for _, b := range []ast.Expr{n.Low, n.High, n.Max} {
+				if b != nil && derived(b) {
+					report(n.Pos())
+					break
+				}
+			}
+		}
+		return true
+	})
+}
+
+// isAtomicAdd matches sync/atomic's Add functions (AddInt32, AddUint64, …)
+// and the Add methods of its typed integers (atomic.Int32.Add, …).
+func isAtomicAdd(p *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !strings.HasPrefix(sel.Sel.Name, "Add") {
+		return false
+	}
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
+			return pn.Imported().Path() == "sync/atomic"
+		}
+	}
+	if s, ok := p.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+		pkg := s.Obj().Pkg()
+		return pkg != nil && pkg.Path() == "sync/atomic"
 	}
 	return false
 }

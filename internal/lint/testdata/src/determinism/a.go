@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -105,4 +106,31 @@ func randomness() float64 {
 func allowedClock() int64 {
 	t := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	return t.UnixNano()
+}
+
+func atomicCursorScatter(cursor []int32, out []float64, row int, v float64) {
+	base := atomic.AddInt32(&cursor[row], 2) - 2
+	seg := int(base)
+	out[seg] = v    // want "write slot derived from a sync/atomic Add"
+	out[seg+1] += v // want "write slot derived from a sync/atomic Add"
+}
+
+func atomicCursorCopy(n *int64, out, src []float64) {
+	off := int(atomic.AddInt64(n, 4)) - 4
+	copy(out[off:off+4], src) // want "write slot derived from a sync/atomic Add"
+}
+
+func atomicTypedCursor(c *atomic.Int32, out []int32) {
+	out[c.Add(1)-1]++ // want "write slot derived from a sync/atomic Add"
+}
+
+func atomicChunkClaim(next *atomic.Int32, bounds []int32, run func(lo, hi int)) {
+	// Claiming a chunk reads through the index; the chunk's own writes are
+	// fixed by its bounds, allowed.
+	i := int(next.Add(1)) - 1
+	run(int(bounds[i]), int(bounds[i+1]))
+}
+
+func atomicCounter(n *int64, out []int64) {
+	out[0] = atomic.AddInt64(n, 1) // the value, not the slot, is atomic-derived: allowed
 }

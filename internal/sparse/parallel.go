@@ -74,6 +74,15 @@ func partitionByWork(dst []int32, pref []int32, lo, hi, parts int) []int32 {
 	return append(dst, int32(hi))
 }
 
+// ParallelChunks runs fn over each [bounds[i], bounds[i+1]) chunk — bounds
+// as PartitionByWork returns them — using at most workers goroutines
+// including the caller, and waits for completion. It is the spawn-per-call
+// dispatch for one-shot builds outside this package (the global assembly);
+// hot loops use a resident Pool instead.
+func ParallelChunks(bounds []int32, workers int, fn func(lo, hi int)) {
+	parallelChunks(bounds, workers, funcRunner(fn))
+}
+
 // funcRunner adapts a plain chunk function to the Runner interface.
 type funcRunner func(lo, hi int)
 

@@ -289,72 +289,3 @@ func TestClone(t *testing.T) {
 		t.Error("Clone is shallow")
 	}
 }
-
-func TestCompactRows(t *testing.T) {
-	// Raw matrix with unordered duplicated entries per row.
-	raw := &CSR{
-		NRows: 2, NCols: 3,
-		RowPtr: []int32{0, 4, 6},
-		ColIdx: []int32{2, 0, 2, 1, 1, 1},
-		Vals:   []float64{5, 1, -2, 4, 7, 3},
-	}
-	c := raw.CompactRows(2)
-	if c.NNZ() != 4 {
-		t.Fatalf("nnz %d, want 4", c.NNZ())
-	}
-	if c.At(0, 0) != 1 || c.At(0, 1) != 4 || c.At(0, 2) != 3 || c.At(1, 1) != 10 {
-		t.Errorf("compacted values wrong: %v %v", c.ColIdx, c.Vals)
-	}
-	for r := 0; r < c.NRows; r++ {
-		for p := c.RowPtr[r] + 1; p < c.RowPtr[r+1]; p++ {
-			if c.ColIdx[p] <= c.ColIdx[p-1] {
-				t.Fatal("row not sorted after compaction")
-			}
-		}
-	}
-}
-
-func TestCompactRowsMatchesTriplet(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		nr, nc := 1+r.Intn(10), 1+r.Intn(10)
-		tr, dense := randTriplet(r, nr, nc, r.Intn(120))
-		m := tr.ToCSR()
-		// Build the same matrix as a raw duplicated CSR: one row segment per
-		// row with the triplet entries in reverse order.
-		_ = dense
-		raw := &CSR{NRows: nr, NCols: nc, RowPtr: make([]int32, nr+1)}
-		type ent struct {
-			c int32
-			v float64
-		}
-		rows := make([][]ent, nr)
-		for i := 0; i < m.NRows; i++ {
-			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				// Split each entry into two halves to force duplicates.
-				rows[i] = append(rows[i], ent{m.ColIdx[p], m.Vals[p] / 2})
-				rows[i] = append(rows[i], ent{m.ColIdx[p], m.Vals[p] / 2})
-			}
-		}
-		for i := 0; i < nr; i++ {
-			raw.RowPtr[i+1] = raw.RowPtr[i] + int32(len(rows[i]))
-			for j := len(rows[i]) - 1; j >= 0; j-- {
-				raw.ColIdx = append(raw.ColIdx, rows[i][j].c)
-				raw.Vals = append(raw.Vals, rows[i][j].v)
-			}
-		}
-		c := raw.CompactRows(3)
-		if c.NNZ() != m.NNZ() {
-			return false
-		}
-		for i := range m.Vals {
-			if c.ColIdx[i] != m.ColIdx[i] || math.Abs(c.Vals[i]-m.Vals[i]) > 1e-12*(1+math.Abs(m.Vals[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
