@@ -96,7 +96,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -104,6 +103,7 @@ import (
 
 	morestress "repro"
 	"repro/internal/router"
+	"repro/internal/serveapi"
 	"repro/internal/solver/tuning"
 )
 
@@ -173,7 +173,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: proxy.Routes()}
+	httpSrv := serveapi.NewHTTPServer(*addr, proxy.Routes())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("router: listening on %s, fronting %d replicas: %s", *addr, len(urls), strings.Join(urls, ", "))

@@ -146,7 +146,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os/signal"
 	"syscall"
 	"time"
@@ -253,7 +252,7 @@ func main() {
 	// in-flight ones stop at their next scenario boundary.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Routes()}
+	httpSrv := serveapi.NewHTTPServer(*addr, srv.Routes())
 	errc := make(chan error, 1)
 	if journal != nil {
 		// The listener comes up before the journal replay so probes can see

@@ -41,7 +41,8 @@
 //     large lattice cannot evict a working set of small ones), and built
 //     models optionally spill to disk in the Save/LoadModel gob format.
 //     Repeated SolveDirect jobs on the same lattice additionally share a
-//     sparse Cholesky factorization, so ΔT sweeps factor once.
+//     sparse Cholesky factorization (cached on the lattice's assembly), so
+//     ΔT sweeps factor once.
 //
 //   - The global stage itself scales across scenarios: the engine assembles
 //     each lattice's reduced global system once (array.Assembly, shared by

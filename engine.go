@@ -14,20 +14,20 @@ import (
 )
 
 // SolverChoice selects the global-stage solver of a batch job.
-type SolverChoice int
+type SolverChoice = array.SolverKind
 
 const (
 	// SolveGMRES is the paper's recommendation (default).
-	SolveGMRES SolverChoice = iota
+	SolveGMRES = array.GMRES
 	// SolveCG uses preconditioned conjugate gradients on the SPD global
 	// matrix (the preconditioner comes from Job.Options.Precond, default
 	// auto-selected).
-	SolveCG
+	SolveCG = array.CG
 	// SolveDirect factors the reduced global matrix with sparse Cholesky.
 	// Under the Engine, repeated Direct jobs on the same unit cell, array
 	// size, and boundary condition share one factorization, so batches of
 	// load sweeps pay it once.
-	SolveDirect
+	SolveDirect = array.Direct
 )
 
 // Job describes one scenario for the batch engine: which unit cell (and
@@ -119,18 +119,16 @@ type EngineOptions struct {
 	// BuildWorkers is the local-stage parallelism of cache-miss builds
 	// (default GOMAXPROCS).
 	BuildWorkers int
-	// MaxFactors bounds the shared Cholesky factorization cache used by
-	// SolveDirect jobs by entry count (default 16).
-	MaxFactors int
-	// FactorBytes additionally bounds the factorization cache by the sum
-	// of the factors' MemoryBytes (0 = entry-count bound only).
-	FactorBytes int64
-	// MaxAssemblies bounds the shared assemble-once cache of reduced
-	// global systems by entry count (default 16). Every solver kind uses
-	// it: a ΔT sweep on one lattice assembles the global matrix once.
+	// MaxAssemblies bounds the engine's lattice cache — the shared
+	// assemble-once reduced global systems — by entry count (default 16).
+	// Every solver kind uses it: a ΔT sweep on one lattice assembles the
+	// global matrix once, and each assembly carries the lattice's
+	// preconditioners, Cholesky factor and warm-start seed, which are
+	// evicted with it.
 	MaxAssemblies int
-	// AssemblyBytes additionally bounds the assembly cache by the sum of
-	// the assemblies' MemoryBytes (0 = entry-count bound only).
+	// AssemblyBytes additionally bounds the lattice cache by the sum of
+	// the assemblies' MemoryBytes, which include those artifacts
+	// (0 = entry-count bound only).
 	AssemblyBytes int64
 	// DisableWarmStart turns off initial-guess reuse: by default the
 	// engine seeds each iterative solve on a lattice with the most recent
@@ -142,8 +140,8 @@ type EngineOptions struct {
 	// BuildWorkers are then ignored). The ROM cache is content-addressed
 	// and shard-agnostic, so in-process engine shards share one: each
 	// distinct unit cell pays the local stage once per process, while the
-	// lattice-keyed caches (assemblies, preconditioners, factors, seeds)
-	// stay private per shard.
+	// lattice cache (assemblies with their preconditioners, factors and
+	// seeds) stays private per shard.
 	SharedCache *romcache.Cache
 }
 
@@ -154,7 +152,8 @@ type EngineStats struct {
 	// JobsDone and JobsFailed count completed jobs since engine creation.
 	JobsDone, JobsFailed int64
 	// Factorizations counts Cholesky factorizations performed for
-	// SolveDirect jobs; FactorHits counts Direct solves that reused one.
+	// SolveDirect jobs; FactorHits counts Direct solves that reused the one
+	// cached on the lattice's Assembly.
 	Factorizations, FactorHits int64
 	// Assemblies counts reduced-global assemblies built; AssemblyHits
 	// counts solves that reused a cached one instead of re-scattering the
@@ -249,20 +248,19 @@ type Solver interface {
 // schedules scenario jobs on a bounded worker pool, shares cached ROMs so
 // each distinct unit cell pays the one-shot local stage once (even under
 // concurrent submission, via singleflight), assembles the reduced global
-// matrix once per lattice (shared by every solver kind, with the
-// preconditioners of iterative solves cached on the same snapshot — built
-// at most once per lattice and kind), shares sparse Cholesky
-// factorizations across repeated Direct solves, and warm-starts
-// iterative solves from the latest solution on the same lattice. The
-// Workers bound holds across every entry point: concurrent Solve calls and
-// overlapping BatchSolve calls together never run more than Workers jobs at
-// once. An Engine is safe for concurrent use; create one and reuse it.
+// matrix once per lattice, and warm-starts iterative solves from the latest
+// solution on the same lattice. Its one lattice cache holds those
+// assemblies; everything else a lattice shares — the preconditioners of
+// iterative solves, the Cholesky factor of Direct solves, the warm-start
+// seed — is an artifact of the assembly, built at most once and evicted
+// with it. The Workers bound holds across every entry point: concurrent
+// Solve calls and overlapping BatchSolve calls together never run more than
+// Workers jobs at once. An Engine is safe for concurrent use; create one and
+// reuse it.
 type Engine struct {
 	opt        EngineOptions
 	cache      *romcache.Cache
-	factors    *factorCache
-	assemblies *memo[*array.Assembly]
-	seeds      *seedCache
+	assemblies *assemblyCache
 	// sem is the engine-wide job bound: every solve holds one slot, so
 	// Solve and BatchSolve share the same Workers budget.
 	sem chan struct{}
@@ -271,6 +269,7 @@ type Engine struct {
 	iterativeSolves, warmStarts, warmFallbacks atomic.Int64
 	iterations                                 atomic.Int64
 	precondBuilds, precondHits                 atomic.Int64
+	factorizations, factorHits                 atomic.Int64
 	orderingCounts                             [solver.NumOrderings]atomic.Int64
 	precisionCounts                            [solver.NumPrecisions]atomic.Int64
 	refinements, precisionFallbacks            atomic.Int64
@@ -282,9 +281,6 @@ func NewEngine(opt EngineOptions) *Engine {
 		// solver.DefaultWorkers is GOMAXPROCS unless host-profile tuning
 		// installed a measured ceiling at startup (internal/solver/tuning).
 		opt.Workers = solver.DefaultWorkers()
-	}
-	if opt.MaxFactors <= 0 {
-		opt.MaxFactors = 16
 	}
 	if opt.MaxAssemblies <= 0 {
 		opt.MaxAssemblies = 16
@@ -299,18 +295,10 @@ func NewEngine(opt EngineOptions) *Engine {
 		})
 	}
 	return &Engine{
-		opt:   opt,
-		cache: cache,
-		factors: &factorCache{memo: memo[*solver.CholFactor]{
-			max: opt.MaxFactors, maxBytes: opt.FactorBytes,
-			size: (*solver.CholFactor).MemoryBytes,
-		}},
-		assemblies: &memo[*array.Assembly]{
-			max: opt.MaxAssemblies, maxBytes: opt.AssemblyBytes,
-			size: (*array.Assembly).MemoryBytes,
-		},
-		seeds: &seedCache{max: 64},
-		sem:   make(chan struct{}, opt.Workers),
+		opt:        opt,
+		cache:      cache,
+		assemblies: &assemblyCache{max: opt.MaxAssemblies, maxBytes: opt.AssemblyBytes},
+		sem:        make(chan struct{}, opt.Workers),
 	}
 }
 
@@ -334,8 +322,8 @@ func (e *Engine) Stats() EngineStats {
 		Cache:              e.cache.Stats(),
 		JobsDone:           e.jobsDone.Load(),
 		JobsFailed:         e.jobsFailed.Load(),
-		Factorizations:     e.factors.built.Load(),
-		FactorHits:         e.factors.hits.Load(),
+		Factorizations:     e.factorizations.Load(),
+		FactorHits:         e.factorHits.Load(),
 		Assemblies:         e.assemblies.built.Load(),
 		AssemblyHits:       e.assemblies.hits.Load(),
 		IterativeSolves:    e.iterativeSolves.Load(),
@@ -473,11 +461,11 @@ const engineBC = array.ClampedTopBottom
 // LatticeKey identifies the job's reduced global system: ROM content (the
 // SHA-256 of the unit-cell spec), array dimensions, and BC pattern —
 // everything the matrix depends on and nothing it does not (the thermal
-// load). It is the key of every lattice-affine cache in the engine
-// (assembly, preconditioner, factor, warm-start seed), and therefore also
-// the routing key of the shard router: requests with equal LatticeKeys must
-// land on the same replica for those caches to stay hot. Empty when the
-// spec cannot be hashed.
+// load). It is the key of the engine's lattice cache (the assembly with its
+// preconditioners, factor and warm-start seed), and therefore also the
+// routing key of the shard router: requests with equal LatticeKeys must
+// land on the same replica for that cache to stay hot. Empty when the spec
+// cannot be hashed.
 func LatticeKey(job Job) string {
 	key, err := romcache.Key(job.Config.romSpec(true))
 	if err != nil {
@@ -516,14 +504,8 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 	}
 	res.CacheHit = hit
 
-	kind := array.GMRES
-	switch job.Solver {
-	case SolveCG:
-		kind = array.CG
-	case SolveDirect:
-		kind = array.Direct
-	}
-	prob := globalProblem(r, job.Rows, job.Cols, job.DeltaT, job.DeltaTMap, kind, job.Options, workers)
+	prob := globalProblem(r, job.Rows, job.Cols, job.DeltaT, job.DeltaTMap, job.Solver, job.Options, workers)
+	seeded := !e.opt.DisableWarmStart && job.DeltaTMap == nil
 	if key != "" {
 		// Assemble-once: the reduced global system depends on the ROM
 		// content, the array dimensions, and the BC pattern — not on ΔT —
@@ -536,12 +518,8 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 			return res
 		}
 		prob.Assembly = asm
-		if kind == array.Direct {
-			prob.Factors = e.factors
-			prob.FactorKey = key
-		}
-		if kind != array.Direct && !e.opt.DisableWarmStart && job.DeltaTMap == nil {
-			prob.X0 = e.seeds.get(key, job.DeltaT)
+		if job.Solver != SolveDirect && seeded {
+			prob.X0 = asm.Seed(job.DeltaT)
 		}
 	}
 	ar, err := solveGlobal(prob, job.GridSamples)
@@ -550,10 +528,19 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 		return res
 	}
 	sol := ar.Solution
-	// Count only solves that actually ran an iterative solver: Direct jobs
-	// and degenerate all-constrained lattices (no free DoFs, QFree empty)
-	// would otherwise skew the warm-start hit rate.
-	if kind != array.Direct && len(sol.QFree) > 0 {
+	// Count only solves that actually ran a solver: degenerate
+	// all-constrained lattices (no free DoFs, QFree empty) would otherwise
+	// skew the warm-start hit rate. A Direct solve's PrecondShared reports
+	// that its Cholesky factor came from the assembly.
+	switch {
+	case len(sol.QFree) == 0:
+	case job.Solver == SolveDirect:
+		if sol.PrecondShared {
+			e.factorHits.Add(1)
+		} else {
+			e.factorizations.Add(1)
+		}
+	default:
 		e.iterativeSolves.Add(1)
 		e.iterations.Add(int64(sol.Stats.Iterations))
 		if sol.Stats.Warm {
@@ -578,79 +565,79 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 			e.precisionFallbacks.Add(1)
 		}
 	}
-	if key != "" && !e.opt.DisableWarmStart && job.DeltaTMap == nil && len(sol.QFree) > 0 {
-		e.seeds.put(key, job.DeltaT, sol.QFree)
+	if prob.Assembly != nil && seeded {
+		prob.Assembly.KeepSeed(job.DeltaT, sol.QFree)
 	}
 	res.Result = ar
 	return res
 }
 
-// memo is a keyed build-once cache with singleflight deduplication, an
-// entry-count bound, and an optional byte budget over size(value). When over
-// either budget, arbitrary entries other than the newest are dropped (the
-// cached artifacts are cheap to rebuild relative to holding unbounded
-// memory). The zero sizes are never counted; size must not be nil.
-type memo[T any] struct {
-	flight   romcache.Group[T]
+// assemblyCache is the engine's lattice cache: build-once assemblies keyed
+// by LatticeKey, with singleflight deduplication, an entry-count bound, and
+// an optional byte budget over the assemblies' MemoryBytes. When over
+// either budget, arbitrary entries other than the newest are dropped, and
+// with them every artifact the assembly carries (they are cheap to rebuild
+// relative to holding unbounded memory).
+type assemblyCache struct {
+	flight   romcache.Group[*array.Assembly]
 	max      int
 	maxBytes int64
-	size     func(T) int64
 
 	mu sync.Mutex
 	// guarded by mu
-	m     map[string]T
+	m     map[string]*array.Assembly
 	bytes int64 // guarded by mu
 
 	built, hits atomic.Int64
 }
 
-func (c *memo[T]) getOrBuild(key string, build func() (T, error)) (T, error) {
-	if v, ok := c.lookup(key); ok {
+func (c *assemblyCache) getOrBuild(key string, build func() (*array.Assembly, error)) (*array.Assembly, error) {
+	if a, ok := c.lookup(key); ok {
 		c.hits.Add(1)
-		return v, nil
+		return a, nil
 	}
-	v, err, shared := c.flight.Do(key, func() (T, error) {
-		if v, ok := c.lookup(key); ok {
-			return v, nil
+	a, err, shared := c.flight.Do(key, func() (*array.Assembly, error) {
+		if a, ok := c.lookup(key); ok {
+			return a, nil
 		}
-		v, err := build()
+		a, err := build()
 		if err != nil {
-			return v, err
+			return nil, err
 		}
 		c.built.Add(1)
-		c.insert(key, v)
-		return v, nil
+		c.insert(key, a)
+		return a, nil
 	})
 	if err != nil {
-		var zero T
-		return zero, err
+		return nil, err
 	}
 	if shared {
 		c.hits.Add(1)
 	}
-	return v, nil
+	return a, nil
 }
 
-func (c *memo[T]) lookup(key string) (T, bool) {
+func (c *assemblyCache) lookup(key string) (*array.Assembly, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	return v, ok
+	a, ok := c.m[key]
+	return a, ok
 }
 
-func (c *memo[T]) insert(key string, v T) {
+func (c *assemblyCache) insert(key string, a *array.Assembly) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
-		c.m = make(map[string]T)
+		c.m = make(map[string]*array.Assembly)
 	}
-	c.m[key] = v
-	// Re-sum the byte footprint from scratch: cached values can grow after
-	// insertion (an Assembly lazily caches preconditioners), so incremental
-	// accounting would drift. Entry counts are small (c.max, default 16).
+	c.m[key] = a
+	// Re-sum the byte footprint from scratch: cached assemblies grow after
+	// insertion (lazily built preconditioners and factors, kept seeds), so
+	// incremental accounting would drift. Entry counts are small (c.max,
+	// default 16).
 	c.bytes = 0
 	for _, e := range c.m {
-		c.bytes += c.size(e)
+		c.bytes += e.MemoryBytes()
 	}
 	// Drop arbitrary other entries until both budgets hold; the entry just
 	// inserted always stays (it is about to be used).
@@ -662,85 +649,6 @@ func (c *memo[T]) insert(key string, v T) {
 			continue
 		}
 		delete(c.m, k)
-		c.bytes -= c.size(old)
-	}
-}
-
-// factorCache memoizes sparse Cholesky factorizations for Direct solves; it
-// adapts the generic memo to the array.FactorCache interface.
-type factorCache struct {
-	memo[*solver.CholFactor]
-}
-
-// GetOrFactor implements array.FactorCache.
-func (f *factorCache) GetOrFactor(key string, build func() (*solver.CholFactor, error)) (*solver.CholFactor, error) {
-	return f.getOrBuild(key, build)
-}
-
-// seedCache holds the most recent reduced solution per lattice key for
-// warm-starting. Entries record the uniform ΔT they were solved at so a
-// seed can be rescaled to the target load: for a uniform thermal field the
-// reduced RHS — and therefore the solution — is linear in ΔT, so the scaled
-// seed of a converged neighbor is already at the solver's tolerance and a
-// sweep effectively pays one cold solve per lattice.
-type seedCache struct {
-	max int
-
-	mu sync.Mutex
-	m  map[string]seedEntry // guarded by mu
-}
-
-type seedEntry struct {
-	qf []float64
-	dt float64
-}
-
-// get returns a seed for solving the key's lattice at deltaT, nil when none
-// is applicable. The returned slice is freshly scaled (or shared read-only
-// when the loads match; solver entry points copy their x0 before iterating).
-func (s *seedCache) get(key string, deltaT float64) []float64 {
-	if deltaT == 0 {
-		return nil // the zero-load solution is zero: a "seed" would be a cold start counted as warm
-	}
-	s.mu.Lock()
-	e, ok := s.m[key]
-	s.mu.Unlock()
-	if !ok || e.dt == 0 || len(e.qf) == 0 {
-		return nil
-	}
-	if deltaT == e.dt { //stressvet:allow floatcmp -- exact-match fast path; inexact ratios fall through to scaling
-		return e.qf
-	}
-	scale := deltaT / e.dt
-	out := make([]float64, len(e.qf))
-	for i, v := range e.qf {
-		out[i] = scale * v
-	}
-	return out
-}
-
-// put records the solution of a uniform-ΔT solve. The slice must not be
-// mutated afterwards (Solution.QFree is freshly allocated per solve).
-func (s *seedCache) put(key string, deltaT float64, qf []float64) {
-	if deltaT == 0 {
-		return // zero-load solution is all zeros: no better than a cold start
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[string]seedEntry)
-	}
-	_, existed := s.m[key]
-	s.m[key] = seedEntry{qf: qf, dt: deltaT}
-	if !existed {
-		for k := range s.m {
-			if len(s.m) <= s.max {
-				break
-			}
-			if k == key {
-				continue
-			}
-			delete(s.m, k)
-		}
+		c.bytes -= old.MemoryBytes()
 	}
 }

@@ -3,6 +3,7 @@ package morestress
 import (
 	"testing"
 
+	"repro/internal/array"
 	"repro/internal/solver"
 )
 
@@ -152,5 +153,60 @@ func TestEnginePrecondCacheInvalidatedWithAssembly(t *testing.T) {
 	s = e.Stats()
 	if s.PrecondBuilds != 2 || s.PrecondHits != 2 {
 		t.Errorf("builds/hits = %d/%d, want 2/2", s.PrecondBuilds, s.PrecondHits)
+	}
+}
+
+// TestEngineFactorEvictedWithAssembly: the Direct solver's Cholesky factor
+// is an artifact of the lattice's assembly, counted in its MemoryBytes and
+// evicted with it. With room for one assembly, alternating Direct jobs on
+// two lattices refactor on every solve.
+func TestEngineFactorEvictedWithAssembly(t *testing.T) {
+	cfg := testConfig(15)
+	e := NewEngine(EngineOptions{Workers: 1, MaxAssemblies: 1, DisableWarmStart: true})
+	lattices := [][2]int{{2, 2}, {2, 3}}
+	for round := 0; round < 2; round++ {
+		for _, dims := range lattices {
+			res, err := e.Solve(Job{Config: cfg, Rows: dims[0], Cols: dims[1], DeltaT: -100, Solver: SolveDirect})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Result.Solution.PrecondShared {
+				t.Errorf("round %d, %v: factor reported shared after its assembly was evicted", round, dims)
+			}
+		}
+	}
+	s := e.Stats()
+	if s.Factorizations != 4 || s.FactorHits != 0 {
+		t.Errorf("factorizations/hits = %d/%d, want 4/0", s.Factorizations, s.FactorHits)
+	}
+	if s.Assemblies != 4 {
+		t.Errorf("assemblies = %d, want 4", s.Assemblies)
+	}
+
+	// The surviving assembly (the last lattice) carries its factor: its
+	// footprint exceeds a fresh assembly of the same lattice by exactly the
+	// factor's bytes.
+	job := Job{Config: cfg, Rows: 2, Cols: 3, DeltaT: -100, Solver: SolveDirect}
+	asm, ok := e.assemblies.lookup(LatticeKey(job))
+	if !ok {
+		t.Fatal("the last lattice's assembly is not cached")
+	}
+	chol, hit, err := asm.Cholesky()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit {
+		t.Error("the cached assembly should already hold its factor")
+	}
+	r, _, err := e.cache.Get(cfg.romSpec(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := array.NewAssembly(globalProblem(r, job.Rows, job.Cols, job.DeltaT, nil, job.Solver, job.Options, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := asm.MemoryBytes()-fresh.MemoryBytes(), chol.MemoryBytes(); got != want {
+		t.Errorf("assembly MemoryBytes grew by %d with its factor, want the factor's %d", got, want)
 	}
 }

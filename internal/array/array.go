@@ -88,28 +88,10 @@ type Problem struct {
 	Assembly *Assembly
 	// X0 optionally seeds the iterative solvers with an initial guess in
 	// reduced free-DoF ordering — the QFree of a previous Solution on the
-	// same assembly (warm start). A wrong-length seed is ignored; a seed
-	// that makes the solver diverge is retried cold (WarmFallback).
+	// same assembly (warm start), typically drawn from Assembly.Seed. A
+	// wrong-length seed is ignored; a seed that makes the solver diverge is
+	// retried cold (WarmFallback).
 	X0 []float64
-	// Factors optionally shares sparse Cholesky factorizations across
-	// repeated Direct solves: when set together with FactorKey, the Direct
-	// branch asks the cache instead of factoring unconditionally. The
-	// reduced global matrix depends only on the ROMs, the array size, the
-	// dummy layout, and the BC pattern — not on the thermal load — so
-	// batches of Direct solves over one lattice pay the factorization once.
-	Factors FactorCache
-	// FactorKey identifies the reduced global matrix to Factors. The
-	// caller must fold in everything the matrix depends on (ROM content,
-	// Bx×By, BC kind, dummy layout); an empty key disables sharing.
-	FactorKey string
-}
-
-// FactorCache supplies memoized sparse Cholesky factorizations for Direct
-// solves. GetOrFactor returns the cached factorization for key, calling
-// build (and retaining its result) on the first request. Implementations
-// must be safe for concurrent use.
-type FactorCache interface {
-	GetOrFactor(key string, build func() (*solver.CholFactor, error)) (*solver.CholFactor, error)
 }
 
 // Lattice is the global surface-node lattice: integer coordinates
@@ -242,11 +224,11 @@ type Solution struct {
 	// AssemblyShared reports that the reduced system came from
 	// Problem.Assembly instead of being assembled by this Solve call.
 	AssemblyShared bool
-	// PrecondShared reports that an iterative solve's preconditioner came
-	// from the assembly's per-kind cache (built by an earlier solve on the
+	// PrecondShared reports that the solve's factor, whether preconditioner
+	// or Cholesky, came from the assembly (built by an earlier solve on the
 	// same lattice) rather than being constructed by this call; the one
-	// solve that populates the cache records the cost in
-	// Stats.PrecondBuild.
+	// iterative solve that populates the preconditioner cache records the
+	// cost in Stats.PrecondBuild.
 	PrecondShared bool
 	// WarmFallback reports that the warm-started solve diverged and the
 	// recorded Stats are from the cold retry.
@@ -270,12 +252,14 @@ type Solution struct {
 // thermal load. Solving a scenario against a prebuilt Assembly costs one
 // RHS build plus the linear solve; the symbolic and numeric build of the
 // reduced matrix is paid once per lattice — and so is each
-// preconditioner, built lazily on first use and cached on the Assembly per
-// concrete PrecondKind (the preconditioner depends only on the reduced
+// preconditioner and the Direct solver's Cholesky factor, built lazily on
+// first use and cached on the Assembly (they depend only on the reduced
 // matrix, so every scenario, ΔT sweep, and async job on the lattice shares
-// it). The reduced system itself is immutable after NewAssembly; the
-// preconditioner cache is internally synchronized, so an Assembly is safe
-// to share across concurrent Solve calls.
+// them). The Assembly also keeps the lattice's latest warm-start seed
+// (KeepSeed/Seed). The reduced system itself is immutable after
+// NewAssembly; the lazily built artifacts are internally synchronized, so
+// an Assembly is safe to share across concurrent Solve calls, and a cache
+// that evicts it drops every artifact with it.
 type Assembly struct {
 	// Lat is the global surface-node lattice.
 	Lat *Lattice
@@ -295,8 +279,9 @@ type Assembly struct {
 	BuildTime time.Duration
 
 	// pmu guards preconds, the lazily built per-(kind, ordering, precision)
-	// preconditioner cache, the memoized level-width probe, and the memoized
-	// blocked form of the reduced matrix.
+	// preconditioner cache, the memoized level-width probe, the memoized
+	// blocked form of the reduced matrix, the Cholesky factor, and the
+	// warm-start seed.
 	pmu      sync.Mutex
 	preconds map[precondKey]*assemblyPrecond
 	// widthKnown/naturalWidth memoize solver.NaturalLevelWidth of the
@@ -311,6 +296,13 @@ type Assembly struct {
 	// nil when the reduced dimension is not a multiple of sparse.BlockSize.
 	bmKnown bool
 	bm      *sparse.BCSR
+	// chol is the Direct solvers' shared Cholesky factor of the reduced
+	// matrix, created by the first Cholesky call.
+	chol *assemblyChol // guarded by pmu
+	// seed is the reduced solution last kept by KeepSeed, solved at the
+	// uniform load seedDT (never 0).
+	seed   []float64 // guarded by pmu
+	seedDT float64   // guarded by pmu
 }
 
 // precondKey identifies one cached preconditioner: the concrete kind plus,
@@ -335,6 +327,16 @@ type assemblyPrecond struct {
 	build time.Duration
 	// ready is set under Assembly.pmu after the build completes, so
 	// MemoryBytes can read m without racing the builder.
+	ready bool
+}
+
+// assemblyChol is the cached Cholesky factor: built once (the Once covers
+// concurrent first requests), then shared by every Direct solve on the
+// lattice. ready plays the same role as in assemblyPrecond.
+type assemblyChol struct {
+	once  sync.Once
+	f     *solver.CholFactor
+	err   error
 	ready bool
 }
 
@@ -492,6 +494,75 @@ func (a *Assembly) Blocked() *sparse.BCSR {
 	return bm
 }
 
+// Cholesky returns the lattice's shared sparse Cholesky factor of the
+// reduced matrix, factoring it on first use. hit reports that the factor
+// already existed (or was being built by a concurrent caller this call
+// waited on) rather than being built by this call.
+func (a *Assembly) Cholesky() (f *solver.CholFactor, hit bool, err error) {
+	if a.Red == nil {
+		return nil, false, fmt.Errorf("array: assembly has no free DoFs, nothing to factor")
+	}
+	a.pmu.Lock()
+	c := a.chol
+	hit = c != nil
+	if !hit {
+		c = &assemblyChol{}
+		a.chol = c
+	}
+	a.pmu.Unlock()
+	c.once.Do(func() { c.f, c.err = solver.NewCholesky(a.Red.Aff) })
+	a.pmu.Lock()
+	c.ready = true
+	a.pmu.Unlock()
+	return c.f, hit, c.err
+}
+
+// Seed returns a warm-start initial guess for a uniform-ΔT solve at
+// deltaT: the seed last kept by KeepSeed, rescaled to the new load, or nil
+// when none applies. For a uniform thermal field the reduced RHS — and
+// therefore the solution — is linear in ΔT, so the rescaled seed of a
+// converged neighbor is already at the solver's tolerance and a sweep
+// effectively pays one cold solve per lattice. Seed returns nil at ΔT = 0
+// (the zero-load solution is zero: a seed would be a cold start counted as
+// warm) and under PrescribedBoundary, whose lifted boundary displacements
+// make the RHS not linear in ΔT. The slice is freshly scaled, or shared
+// read-only when the loads match (solver entry points copy their x0
+// before iterating).
+func (a *Assembly) Seed(deltaT float64) []float64 {
+	if deltaT == 0 || a.BC == PrescribedBoundary {
+		return nil
+	}
+	a.pmu.Lock()
+	qf, dt := a.seed, a.seedDT
+	a.pmu.Unlock()
+	if len(qf) == 0 {
+		return nil
+	}
+	if deltaT == dt { //stressvet:allow floatcmp -- exact-match fast path; inexact ratios fall through to scaling
+		return qf
+	}
+	scale := deltaT / dt
+	out := make([]float64, len(qf))
+	for i, v := range qf {
+		out[i] = scale * v
+	}
+	return out
+}
+
+// KeepSeed records qf, the reduced solution of a uniform-ΔT solve at
+// deltaT, as the lattice's warm-start seed, replacing the previous one. It
+// is a no-op where Seed could never return the seed (ΔT = 0,
+// PrescribedBoundary) and for a qf of the wrong length. qf must not be
+// mutated afterwards (Solution.QFree is freshly allocated per solve).
+func (a *Assembly) KeepSeed(deltaT float64, qf []float64) {
+	if deltaT == 0 || a.BC == PrescribedBoundary || len(qf) != a.NumFree() {
+		return
+	}
+	a.pmu.Lock()
+	a.seed, a.seedDT = qf, deltaT
+	a.pmu.Unlock()
+}
+
 // NewAssembly runs the load-independent part of the global stage for the
 // problem: lattice enumeration, the constrained-node mask, and the two-phase
 // build of the reduced unit-load system (see stencil). The symbolic phase
@@ -542,9 +613,10 @@ func (a *Assembly) NumFree() int {
 }
 
 // MemoryBytes estimates the snapshot's storage footprint, for byte-budgeted
-// caches. Lazily cached preconditioners count too, so the assembly cache's
-// byte budget sees them (it re-sums entry sizes on every insert because of
-// exactly this growth).
+// caches. The lazily built artifacts — preconditioners, the blocked
+// matrix, the Cholesky factor — and the kept seed count too, so the
+// assembly cache's byte budget sees them (it re-sums entry sizes on every
+// insert because of exactly this growth).
 func (a *Assembly) MemoryBytes() int64 {
 	b := int64(4*len(a.Lat.Index)) + int64(24*len(a.Lat.Nodes)) + int64(4*len(a.BCNodes))
 	if a.Red != nil {
@@ -562,6 +634,10 @@ func (a *Assembly) MemoryBytes() int64 {
 	if a.bm != nil {
 		b += a.bm.MemoryBytes()
 	}
+	if c := a.chol; c != nil && c.ready && c.err == nil {
+		b += c.f.MemoryBytes()
+	}
+	b += int64(8 * len(a.seed))
 	a.pmu.Unlock()
 	return b
 }
@@ -752,16 +828,11 @@ func Solve(p *Problem) (*Solution, error) {
 		case CG:
 			return solver.PCG(red.Aff, rhs, seed, opt)
 		case Direct:
-			factor := func() (*solver.CholFactor, error) { return solver.NewCholesky(red.Aff) }
-			var chol *solver.CholFactor
-			if p.Factors != nil && p.FactorKey != "" {
-				chol, err = p.Factors.GetOrFactor(p.FactorKey, factor)
-			} else {
-				chol, err = factor()
-			}
+			chol, hit, err := asm.Cholesky()
 			if err != nil {
 				return nil, stats, err
 			}
+			precondShared = hit
 			return chol.Solve(rhs), solver.Stats{Converged: true, Ordering: solver.OrderingNatural, Precision: solver.PrecisionFloat64}, nil
 		default:
 			return solver.GMRES(red.Aff, rhs, seed, opt)
@@ -801,7 +872,7 @@ func Solve(p *Problem) (*Solution, error) {
 	}
 	if opt.Work != nil {
 		// A workspace-backed solve returns a vector owned by the workspace,
-		// valid only until its next solve; QFree is retained (seed caches,
+		// valid only until its next solve; QFree is retained (warm-start seeds,
 		// post-processing), so detach it.
 		qf = append([]float64(nil), qf...)
 	}

@@ -126,7 +126,7 @@ func FuzzRouterKey(f *testing.F) {
 			t.Fatalf("second derivation disagreed: key %q err %v, want %q", key5, err5, key)
 		}
 
-		if job, jerr := req.ToJob(0, 0); jerr == nil {
+		if job, jerr := req.ToJob(0, 0, 0); jerr == nil {
 			if morestress.LatticeKey(job) != key {
 				t.Fatalf("SolveKey %q disagrees with direct LatticeKey %q", key, morestress.LatticeKey(job))
 			}

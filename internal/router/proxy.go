@@ -172,7 +172,7 @@ func (p *Proxy) probe(rep *replica) bool {
 
 // SolveKey derives the routing key of a /solve-shaped body: the lattice key
 // of the decoded scenario — identical to the string the replica's engine
-// keys its assembly/preconditioner/factor caches by, which is what makes
+// keys its lattice cache (assemblies and their artifacts) by, which makes
 // routing cache-affine. Canonically-equal bodies (reordered fields,
 // defaults spelled out or omitted) decode to the same Job and therefore the
 // same key. Invalid bodies return an error; the caller still routes them
@@ -185,7 +185,7 @@ func (p *Proxy) SolveKey(body []byte) (string, error) {
 	if err := dec.Decode(&req); err != nil {
 		return "", err
 	}
-	job, err := req.ToJobPrec(p.opt.Precond, p.opt.Ordering, p.opt.Precision)
+	job, err := req.ToJob(p.opt.Precond, p.opt.Ordering, p.opt.Precision)
 	if err != nil {
 		return "", err
 	}
@@ -270,7 +270,7 @@ func (p *Proxy) batchKey(body []byte) (string, error) {
 	if len(req.Jobs) == 0 {
 		return "", errors.New("batch has no jobs")
 	}
-	job, err := req.Jobs[0].ToJobPrec(p.opt.Precond, p.opt.Ordering, p.opt.Precision)
+	job, err := req.Jobs[0].ToJob(p.opt.Precond, p.opt.Ordering, p.opt.Precision)
 	if err != nil {
 		return "", err
 	}
@@ -301,7 +301,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	parts := make([][]int, p.table.Len())
 	for i := range req.Jobs {
 		key := ""
-		if job, err := req.Jobs[i].ToJobPrec(p.opt.Precond, p.opt.Ordering, p.opt.Precision); err == nil {
+		if job, err := req.Jobs[i].ToJob(p.opt.Precond, p.opt.Ordering, p.opt.Precision); err == nil {
 			key = morestress.LatticeKey(job)
 		}
 		sh := p.table.Pick(key)

@@ -30,7 +30,7 @@ func FuzzJobRequestJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(req JobRequest) {
-			job, err := req.ToJob(morestress.PrecondAuto, morestress.OrderingAuto)
+			job, err := req.ToJob(morestress.PrecondAuto, morestress.OrderingAuto, morestress.PrecisionAuto)
 			if err != nil {
 				return // rejected; only panics are bugs
 			}

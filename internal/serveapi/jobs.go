@@ -226,7 +226,7 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]morestre
 	include := make([]bool, len(req.Jobs))
 	var batchSamples int64
 	for i := range req.Jobs {
-		job, err := req.Jobs[i].ToJobPrec(s.Precond, s.Ordering, s.Precision)
+		job, err := req.Jobs[i].ToJob(s.Precond, s.Ordering, s.Precision)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
 			return nil, nil, 0, false
@@ -254,7 +254,7 @@ const DefaultJobFieldBudget = 4 * maxBatchFieldSamples
 
 // NewQueue wires a jobqueue over the engine: scenarios run one at a time
 // per queue worker through Engine.Solve (which parallelizes internally and
-// shares the ROM and factor caches with the synchronous endpoints).
+// shares the ROM and lattice caches with the synchronous endpoints).
 // Cancellation takes effect at scenario boundaries. fieldBudget bounds the
 // aggregate field samples of tracked jobs (0 = unlimited). journal, when
 // non-nil, makes accepted jobs durable across restarts.

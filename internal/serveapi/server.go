@@ -97,13 +97,10 @@ type JobRequest struct {
 	IncludeField bool `json:"includeField"`
 }
 
-func (r *JobRequest) ToJob(defaultPrecond morestress.Precond, defaultOrdering morestress.Ordering) (morestress.Job, error) {
-	return r.ToJobPrec(defaultPrecond, defaultOrdering, morestress.PrecisionAuto)
-}
-
-// ToJobPrec is ToJob with an explicit default for the factor precision (the
-// server's -precision flag), applied when the request does not name one.
-func (r *JobRequest) ToJobPrec(defaultPrecond morestress.Precond, defaultOrdering morestress.Ordering, defaultPrecision morestress.Precision) (morestress.Job, error) {
+// ToJob validates the request and converts it to an engine job. The
+// defaults (the server's -precond, -ordering and -precision flags) apply
+// when the request does not name a preconditioner, ordering or precision.
+func (r *JobRequest) ToJob(defaultPrecond morestress.Precond, defaultOrdering morestress.Ordering, defaultPrecision morestress.Precision) (morestress.Job, error) {
 	var job morestress.Job
 	pitch := r.Pitch
 	if pitch == 0 {
@@ -343,6 +340,23 @@ func (s *Server) Routes() http.Handler {
 	return mux
 }
 
+// Connection timeouts of NewHTTPServer. readHeaderTimeout bounds how long a
+// client may take to send its request headers, so a client that never
+// finishes them cannot hold a connection open; idleTimeout bounds how long
+// a keep-alive connection may wait for its next request. Neither bounds a
+// request body or a response, so long solves and job event streams are
+// unaffected.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server that serves h on addr with the
+// connection timeouts set; cmd/serve and cmd/router both listen through it.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // ifReady gates a traffic-mutating handler on readiness: a request that
 // arrives mid-recovery (or after the queue closed) gets 503 + Retry-After
 // so a well-behaved client — and the shard router — moves on.
@@ -366,7 +380,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	job, err := req.ToJobPrec(s.Precond, s.Ordering, s.Precision)
+	job, err := req.ToJob(s.Precond, s.Ordering, s.Precision)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
