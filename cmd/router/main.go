@@ -82,13 +82,10 @@
 //	router -replicas URL[,URL...] [-addr :8080]
 //	       [-probe-interval 500ms] [-probe-timeout 2s]
 //	       [-retries 2N] [-backoff 50ms]
-//	       [-precond auto] [-ordering auto] [-tuning FILE]
 //
-// -precond/-ordering only feed request validation during key derivation
-// (the lattice key does not depend on solver options); they should match
-// the replicas' flags. -tuning likewise mirrors the replicas: it loads the
-// same measured host-profile thresholds (see docs/MEASUREMENT.md) so the
-// router's "auto" resolution agrees with theirs.
+// The router never solves: solver choices travel in each request's
+// "precond", "ordering" and "precision" fields to the replica that owns
+// the lattice, and the lattice key does not depend on them.
 package main
 
 import (
@@ -101,10 +98,8 @@ import (
 	"syscall"
 	"time"
 
-	morestress "repro"
 	"repro/internal/router"
 	"repro/internal/serveapi"
-	"repro/internal/solver/tuning"
 )
 
 //stressvet:gang -- one goroutine carries ListenAndServe so main can select on shutdown signals
@@ -115,37 +110,8 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
 	retries := flag.Int("retries", 0, "max forwarding attempts per request across the failover order (0 = twice per replica)")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "base pause between failover attempts (grows linearly)")
-	precondFlag := flag.String("precond", "auto", "default preconditioner assumed during request validation (match the replicas)")
-	orderingFlag := flag.String("ordering", "auto", "default IC0 ordering assumed during request validation (match the replicas)")
-	precisionFlag := flag.String("precision", "auto", "default IC0 factor precision assumed during request validation (match the replicas)")
-	tuningPath := flag.String("tuning", "",
-		"bench-global/v2 file (or bare host_profiles snapshot) so \"auto\" resolves with the same measured thresholds as the replicas (empty = embedded snapshot)")
 	flag.Parse()
 
-	precond, err := morestress.ParsePrecond(*precondFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ordering, err := morestress.ParseOrdering(*orderingFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	precision, err := morestress.ParsePrecision(*precisionFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The router never solves, but "auto" preconditioner/ordering decisions
-	// made during request validation should agree with what the replicas will
-	// actually do — resolve the same measured thresholds they do.
-	tun, err := tuning.Startup(*tuningPath)
-	if err != nil {
-		if *tuningPath != "" {
-			log.Fatalf("router: -tuning %s: %v", *tuningPath, err)
-		}
-		log.Printf("router: tuning snapshot unusable, keeping hand-set defaults: %v", err)
-	}
-	log.Printf("router: tuning: ic0 threshold %d, multicolor width %d (%s)",
-		tun.IC0Threshold, tun.MulticolorWidth, tun.Source)
 	var urls []string
 	for _, u := range strings.Split(*replicas, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -161,9 +127,6 @@ func main() {
 		ProbeTimeout:  *probeTimeout,
 		Retries:       *retries,
 		Backoff:       *backoff,
-		Precond:       precond,
-		Ordering:      ordering,
-		Precision:     precision,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -87,8 +87,7 @@
 //	      [-cache-bytes 2147483648] [-cache-entries 0] [-cache-dir DIR]
 //	      [-queue-depth 64] [-job-workers 1] [-job-ttl 10m]
 //	      [-job-field-budget 134217728] [-journal-dir DIR]
-//	      [-precond auto] [-warm-start=true] [-assembly-bytes 1073741824]
-//	      [-tuning FILE]
+//	      [-warm-start=true] [-assembly-bytes 1073741824] [-tuning FILE]
 //
 // Defaults: -cache-bytes is 2 GiB (romcache.DefaultMaxBytes); -cache-entries
 // is 0, meaning the byte budget alone governs admission (set it to add a
@@ -123,14 +122,17 @@
 //
 // The reduced global solve dominates warm-cache request time, so the engine
 // assembles each lattice's global matrix once (shared by every scenario on
-// that lattice), defaults the iterative solvers to preconditioned CG/GMRES
-// (-precond auto picks block-Jacobi-3 for small lattices and IC0 for large
-// ones; per-request "precond" overrides), and warm-starts each iterative
-// solve from the latest solution of the same lattice (-warm-start=false
-// disables). GET /stats reports the machinery under "solver": assemblies
-// built vs reused, warm-start hit rate, divergence fallbacks, and total
-// iterations; per-scenario SSE events carry iterations, residual, precond,
-// and warmStart. See docs/SOLVER_TUNING.md for guidance and measurements.
+// that lattice), defaults the iterative solvers to preconditioned CG/GMRES,
+// and warm-starts each iterative solve from the latest solution of the same
+// lattice (-warm-start=false disables). Each request picks its own
+// preconditioner, ordering and factor precision in its "precond",
+// "ordering" and "precision" fields; "auto", the default, picks
+// block-Jacobi-3 for small lattices and IC0 for large ones, and resolves
+// the IC0 ordering once per lattice. GET /stats reports the machinery
+// under "solver": assemblies built vs reused, warm-start hit rate,
+// divergence fallbacks, and total iterations; per-scenario SSE events
+// carry iterations, residual, precond, and warmStart. See
+// docs/SOLVER_TUNING.md for guidance and measurements.
 //
 // The thresholds behind "auto" are measured, not guessed: at startup the
 // process derives the IC0 crossover, multicolor ordering width, and worker
@@ -174,12 +176,6 @@ func main() {
 		"aggregate field samples across tracked async jobs, 429 beyond it (0 = unlimited)")
 	journalDir := flag.String("journal-dir", "",
 		"directory for the async job journal: accepted jobs are fsynced and recovered after a crash (empty disables durability)")
-	precondFlag := flag.String("precond", "auto",
-		"default iterative preconditioner: auto, jacobi, block-jacobi3, ic0, or none (per-request \"precond\" overrides)")
-	orderingFlag := flag.String("ordering", "auto",
-		"default IC0 factor ordering: auto, natural, rcm, or multicolor (per-request \"ordering\" overrides)")
-	precisionFlag := flag.String("precision", "auto",
-		"default IC0 factor storage precision: auto, float64, or float32 (per-request \"precision\" overrides)")
 	warmStart := flag.Bool("warm-start", true,
 		"seed iterative solves with the latest solution on the same lattice")
 	tuningPath := flag.String("tuning", "",
@@ -188,18 +184,6 @@ func main() {
 		"byte budget of the assemble-once cache of reduced global matrices (0 = entry-count bound only)")
 	flag.Parse()
 
-	precond, err := morestress.ParsePrecond(*precondFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ordering, err := morestress.ParseOrdering(*orderingFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	precision, err := morestress.ParsePrecision(*precisionFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	// Resolve measured solver thresholds for this host before any engine is
 	// built: NewEngine snapshots solver.DefaultWorkers at construction. An
 	// explicit -tuning file that fails to load is an operator error; a stale
@@ -242,9 +226,6 @@ func main() {
 	}
 	srv := serveapi.New(solver, queue)
 	srv.Journal = journal
-	srv.Precond = precond
-	srv.Ordering = ordering
-	srv.Precision = precision
 	srv.PerShard = perShard
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections,

@@ -279,17 +279,15 @@ type Assembly struct {
 	BuildTime time.Duration
 
 	// pmu guards preconds, the lazily built per-(kind, ordering, precision)
-	// preconditioner cache, the memoized level-width probe, the memoized
-	// blocked form of the reduced matrix, the Cholesky factor, and the
-	// warm-start seed.
+	// preconditioner cache, the memoized OrderingAuto resolution, the
+	// memoized blocked form of the reduced matrix, the Cholesky factor, and
+	// the warm-start seed.
 	pmu      sync.Mutex
 	preconds map[precondKey]*assemblyPrecond
-	// widthKnown/naturalWidth memoize solver.NaturalLevelWidth of the
-	// reduced matrix — the O(nnz) part of the OrderingAuto rule — paid once
-	// per lattice. The decision itself is re-derived per solve because it
-	// also depends on the solve's worker count.
-	widthKnown   bool
-	naturalWidth int
+	// autoOrd memoizes what OrderingAuto resolves to for the reduced matrix
+	// (solver.ResolveOrdering, an O(nnz) probe), so every solve on the
+	// lattice factors under the same ordering; OrderingAuto until resolved.
+	autoOrd solver.OrderingKind
 	// bmKnown/bm memoize the 3×3-tiled (BCSR) form of the reduced matrix,
 	// built by Blocked on the lattice's first iterative solve and shared by
 	// every solve after it (the blocked mat-vec kernel reads it); bm stays
@@ -363,62 +361,43 @@ type AssemblyPrecond struct {
 	Build time.Duration
 }
 
-// resolveOrdering resolves OrderingAuto for the reduced matrix at the given
-// worker count (0 = GOMAXPROCS), memoizing the O(nnz) level-width probe;
-// concrete kinds pass through untouched. Worker-awareness matters: the
-// batch engine splits the machine across concurrent chains, and a solve
-// handed one worker must keep the natural factor — multicolor's extra
-// iterations buy nothing without fan-out.
-func (a *Assembly) resolveOrdering(ord solver.OrderingKind, workers int) solver.OrderingKind {
+// resolveOrdering resolves OrderingAuto for the reduced matrix once per
+// lattice; concrete kinds pass through untouched.
+func (a *Assembly) resolveOrdering(ord solver.OrderingKind) solver.OrderingKind {
 	if ord != solver.OrderingAuto {
 		return ord
 	}
-	// Cheap guards first, mirroring solver.ResolveOrderingFor: when they
-	// already decide, the O(nnz) probe is never paid at all.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || a.Red.Aff.NRows < solver.AutoMulticolorMinDoFs {
-		return solver.OrderingNatural
-	}
 	a.pmu.Lock()
-	known, width := a.widthKnown, a.naturalWidth
+	auto := a.autoOrd
 	a.pmu.Unlock()
-	if !known {
+	if auto == solver.OrderingAuto {
 		// Probe outside the lock so a multi-second first lookup does not
 		// block concurrent Preconditioner requests for other kinds; the
-		// sweep is idempotent, so a concurrent double-compute is benign.
-		width = solver.NaturalLevelWidth(a.Red.Aff)
+		// resolution is deterministic, so a concurrent double-compute is
+		// benign.
+		auto = solver.ResolveOrdering(ord, a.Red.Aff)
 		a.pmu.Lock()
-		a.widthKnown, a.naturalWidth = true, width
+		a.autoOrd = auto
 		a.pmu.Unlock()
 	}
-	return solver.OrderingFromWidth(ord, a.Red.Aff.NRows, width, workers)
+	return auto
 }
 
 // Preconditioner returns the lattice's shared preconditioner for the
-// requested kind and ordering, building and caching it on first use; workers
-// is the requesting solve's parallelism (0 = GOMAXPROCS), consulted only by
-// the OrderingAuto resolution — a 1-worker solve keeps the natural factor.
-// Distinct (kind, ordering) pairs cache independently — the ordering
-// permutation lives inside the cached factor, so "the ordering + permuted
-// factor" is one entry; PrecondAuto and OrderingAuto resolve to concrete
-// values first so an explicit request for the resolved pair shares the same
-// entry. Only the factorizing kinds are ordering-sensitive; the Jacobi
-// family caches under OrderingNatural regardless of the requested ordering.
-func (a *Assembly) Preconditioner(kind solver.PrecondKind, ord solver.OrderingKind, workers int) (AssemblyPrecond, error) {
-	return a.PreconditionerPrec(kind, ord, solver.PrecisionAuto, workers)
-}
-
-// PreconditionerPrec is Preconditioner with an explicit factor-precision
-// request. Only the factorizing kinds are precision-sensitive: for IC0,
-// PrecisionAuto and PrecisionFloat32 build the identical factor (float32
-// storage exactly when the factor commits to the 3×3-tiled form) and so
-// share one cache entry, while PrecisionFloat64 caches separately — the
-// float64 rebuild a precision-stalled solve retries against lives next to
-// the float32 factor it replaces. The Jacobi family always caches under
-// PrecisionFloat64.
-func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision, workers int) (AssemblyPrecond, error) {
+// requested kind, ordering and factor precision, building and caching it on
+// first use. Distinct (kind, ordering, precision) triples cache
+// independently — the ordering permutation lives inside the cached factor,
+// so "the ordering + permuted factor" is one entry; PrecondAuto and
+// OrderingAuto resolve to concrete values first so an explicit request for
+// the resolved triple shares the same entry. Only the factorizing kinds are
+// ordering- and precision-sensitive: for IC0, PrecisionAuto and
+// PrecisionFloat32 build the identical factor (float32 storage exactly when
+// the factor commits to the 3×3-tiled form) and so share one cache entry,
+// while PrecisionFloat64 caches separately — the float64 rebuild a
+// precision-stalled solve retries against lives next to the float32 factor
+// it replaces. The Jacobi family caches under (OrderingNatural,
+// PrecisionFloat64) regardless of the request.
+func (a *Assembly) Preconditioner(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision) (AssemblyPrecond, error) {
 	if a.Red == nil {
 		return AssemblyPrecond{}, fmt.Errorf("array: assembly has no free DoFs, nothing to precondition")
 	}
@@ -427,7 +406,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	// amortized threshold rather than the one-shot one.
 	resolved := kind.ResolveAmortized(a.Red.NFree())
 	if resolved == solver.PrecondIC0 {
-		ord = a.resolveOrdering(ord, workers)
+		ord = a.resolveOrdering(ord)
 		if prec == solver.PrecisionAuto {
 			prec = solver.PrecisionFloat32
 		}
@@ -448,7 +427,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	a.pmu.Unlock()
 	e.once.Do(func() {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-		e.m, e.err = solver.NewPreconditionerPrec(resolved, ord, prec, a.Red.Aff)
+		e.m, e.err = solver.NewPreconditioner(resolved, ord, prec, a.Red.Aff)
 		e.build = time.Since(t0)
 	})
 	a.pmu.Lock()
@@ -802,7 +781,7 @@ func Solve(p *Problem) (*Solution, error) {
 			// Jacobi family instead of paying an unamortized IC0 factor.
 			kind = kind.Resolve(asm.NumFree())
 		}
-		ap, err := asm.PreconditionerPrec(kind, opt.Ordering, opt.Precision, opt.Workers)
+		ap, err := asm.Preconditioner(kind, opt.Ordering, opt.Precision)
 		if err != nil {
 			return nil, fmt.Errorf("array: global preconditioner: %w", err)
 		}
@@ -848,7 +827,7 @@ func Solve(p *Problem) (*Solution, error) {
 		// the guard once pays the rebuild once — and retry with the same
 		// seed. opt.Precond/Ordering are concrete after the first draw, so
 		// the request resolves to the sibling cache entry.
-		ap, perr := asm.PreconditionerPrec(opt.Precond, opt.Ordering, solver.PrecisionFloat64, opt.Workers)
+		ap, perr := asm.Preconditioner(opt.Precond, opt.Ordering, solver.PrecisionFloat64)
 		if perr != nil {
 			return nil, fmt.Errorf("array: float64 fallback preconditioner: %w (after %v)", perr, err)
 		}

@@ -16,7 +16,7 @@ import (
 // docs/SOLVER_TUNING.md and the reduced_global_precond section of
 // BENCH_global.json: PCG on the reduced global matrix at coarse resolution,
 // (5,5,5) nodes, Tol 1e-8, for each lattice size, preconditioner, and — for
-// IC0 — symmetric ordering (natural, RCM, multicolor). It reports the cold
+// IC0 — symmetric ordering (natural, multicolor). It reports the cold
 // solve (first solve on the lattice: preconditioner build + iterate), the
 // warm solve (assembly-cached preconditioner, the serving path's
 // per-scenario cost), and the factor's dependency-level shape (levels ×
@@ -42,14 +42,13 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 	// The two explicit IC0 precisions at the natural ordering measure the
 	// blocked layout in both storage widths (the reduced matrices always
 	// clear BlockFillMin, so float64 here IS the blocked-vs-scalar apply
-	// comparison against the pr-8 scalar rows); the remaining orderings run
+	// comparison against the pr-8 scalar rows); the multicolor ordering runs
 	// at the auto precision the serving path uses.
 	variants := []variant{
 		{solver.PrecondJacobi, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondBlockJacobi3, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat32},
-		{solver.PrecondIC0, solver.OrderingRCM, solver.PrecisionAuto},
 		{solver.PrecondIC0, solver.OrderingMulticolor, solver.PrecisionAuto},
 	}
 	for _, size := range []int{6, 12, 18} {
@@ -80,7 +79,7 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 			}
 			coldSol, cold := solveOnce(coldAsm)
 			// Warm: shared assembly whose preconditioner cache is populated.
-			ap, err := asm.PreconditionerPrec(v.kind, v.ord, v.prec, 0)
+			ap, err := asm.Preconditioner(v.kind, v.ord, v.prec)
 			if err != nil {
 				t.Fatal(err)
 			}

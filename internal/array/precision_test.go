@@ -16,7 +16,7 @@ func TestAssemblyPrecondDistinctPerPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
+	auto, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +26,14 @@ func TestAssemblyPrecondDistinctPerPrecision(t *testing.T) {
 	if auto.Precision != solver.PrecisionFloat32 {
 		t.Errorf("auto precision resolved to %v, want float32 on the blocked reduced matrix", auto.Precision)
 	}
-	single, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionFloat32, 0)
+	single, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !single.Hit || single.M != auto.M {
 		t.Errorf("explicit float32 did not share the auto entry (hit=%v same=%v)", single.Hit, single.M == auto.M)
 	}
-	double, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionFloat64, 0)
+	double, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionFloat64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestAssemblyPrecondDistinctPerPrecision(t *testing.T) {
 		t.Errorf("float32 factor (%d B) not smaller than float64 (%d B)", m32.MemoryBytes(), m64.MemoryBytes())
 	}
 	// Precision-invariant kinds collapse onto one float64 entry.
-	j1, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingAuto, solver.PrecisionFloat32, 0)
+	j1, err := asm.Preconditioner(solver.PrecondBlockJacobi3, solver.OrderingAuto, solver.PrecisionFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingAuto, solver.PrecisionFloat64, 0)
+	j2, err := asm.Preconditioner(solver.PrecondBlockJacobi3, solver.OrderingAuto, solver.PrecisionFloat64)
 	if err != nil {
 		t.Fatal(err)
 	}

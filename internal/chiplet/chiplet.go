@@ -220,7 +220,7 @@ func SolveCoarse(st Stack, res Resolution, deltaT float64, extraBreaks []float64
 		// pick serial IC0) does not apply.
 		opt.Precond = solver.JacobiFamily(red.NFree())
 	}
-	xf, stats, err := solver.CG(red.Aff, rhs, nil, opt)
+	xf, stats, err := solver.PCG(red.Aff, rhs, nil, opt)
 	if err != nil {
 		return nil, fmt.Errorf("chiplet: coarse solve failed: %w", err)
 	}

@@ -1,6 +1,7 @@
 package jobqueue
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"sync"
@@ -334,6 +335,28 @@ func TestJobWireRoundTripsSolverOptions(t *testing.T) {
 	if out.Rows != in.Rows || out.Cols != in.Cols || out.DeltaT != in.DeltaT ||
 		out.GridSamples != in.GridSamples || out.Solver != in.Solver {
 		t.Errorf("job fields did not round-trip: got %+v, want %+v", out, in)
+	}
+}
+
+// TestJobWireSolverValuesStable pins the raw values the journal stores for
+// the solver settings: jobWire gob-encodes them as plain ints, so a renumbered
+// kind would silently replay a job written by an older process under a
+// different preconditioner, ordering or precision.
+func TestJobWireSolverValuesStable(t *testing.T) {
+	var buf bytes.Buffer
+	in := jobWire{Rows: 1, Cols: 1, Precond: 3, Ordering: 3, Precision: 2}
+	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+		t.Fatal(err)
+	}
+	var w jobWire
+	if err := gob.NewDecoder(&buf).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	got := w.job().Options
+	if got.Precond != morestress.PrecondIC0 || got.Ordering != morestress.OrderingMulticolor ||
+		got.Precision != morestress.PrecisionFloat32 {
+		t.Errorf("raw {3, 3, 2} decoded to {%v, %v, %v}, want {ic0, multicolor, float32}",
+			got.Precond, got.Ordering, got.Precision)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 //     geometry-only).
 func FuzzRouterKey(f *testing.F) {
 	f.Add([]byte(`{"rows":8,"cols":8}`))
-	f.Add([]byte(`{"pitch":20,"nodes":4,"resolution":"coarse","structure":"pillar","quadratic":true,"rows":3,"cols":5,"deltaT":-100,"gridSamples":10,"solver":"cg","tol":1e-8,"maxIter":200,"precond":"ic0","ordering":"rcm"}`))
+	f.Add([]byte(`{"pitch":20,"nodes":4,"resolution":"coarse","structure":"pillar","quadratic":true,"rows":3,"cols":5,"deltaT":-100,"gridSamples":10,"solver":"cg","tol":1e-8,"maxIter":200,"precond":"ic0","ordering":"multicolor"}`))
 	f.Add([]byte(`{"cols":1,"rows":1,"deltaT":0}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"rows":-3,"cols":900}`))
@@ -126,7 +126,7 @@ func FuzzRouterKey(f *testing.F) {
 			t.Fatalf("second derivation disagreed: key %q err %v, want %q", key5, err5, key)
 		}
 
-		if job, jerr := req.ToJob(0, 0, 0); jerr == nil {
+		if job, jerr := req.ToJob(); jerr == nil {
 			if morestress.LatticeKey(job) != key {
 				t.Fatalf("SolveKey %q disagrees with direct LatticeKey %q", key, morestress.LatticeKey(job))
 			}

@@ -219,7 +219,7 @@ func TestCrashRecoveryLosesNoAcceptedJobs(t *testing.T) {
 		}
 		dt := deltaT(i)
 		req := JobRequest{Resolution: "coarse", Nodes: 3, Rows: 4, Cols: 4, DeltaT: &dt, GridSamples: 50}
-		job, err := req.ToJob(0, 0, 0)
+		job, err := req.ToJob()
 		if err != nil {
 			t.Fatal(err)
 		}

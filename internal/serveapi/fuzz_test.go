@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	morestress "repro"
 )
 
 // FuzzJobRequestJSON hardens the request-parsing layer: arbitrary JSON must
@@ -30,7 +28,7 @@ func FuzzJobRequestJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(req JobRequest) {
-			job, err := req.ToJob(morestress.PrecondAuto, morestress.OrderingAuto, morestress.PrecisionAuto)
+			job, err := req.ToJob()
 			if err != nil {
 				return // rejected; only panics are bugs
 			}

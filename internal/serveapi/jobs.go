@@ -226,7 +226,7 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]morestre
 	include := make([]bool, len(req.Jobs))
 	var batchSamples int64
 	for i := range req.Jobs {
-		job, err := req.Jobs[i].ToJob(s.Precond, s.Ordering, s.Precision)
+		job, err := req.Jobs[i].ToJob()
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
 			return nil, nil, 0, false

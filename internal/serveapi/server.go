@@ -77,19 +77,17 @@ type JobRequest struct {
 	Solver      string   `json:"solver"` // "gmres" (default), "cg", or "direct"
 	Tol         float64  `json:"tol"`
 	MaxIter     int      `json:"maxIter"`
-	// Precond selects the iterative preconditioner: "auto" (default,
-	// size-resolved), "jacobi", "block-jacobi3"/"bj3", "ic0", or "none".
-	// Empty falls back to the server's -precond flag.
+	// Precond selects the iterative preconditioner: "auto" (default, also
+	// when empty; size-resolved), "jacobi", "block-jacobi3"/"bj3", "ic0",
+	// or "none".
 	Precond string `json:"precond"`
-	// Ordering selects the IC0 factor ordering: "auto" (default, picks
-	// multicolor when the natural dependency levels are too narrow to fan
-	// out), "natural", "rcm", or "multicolor". Empty falls back to the
-	// server's -ordering flag.
+	// Ordering selects the IC0 factor ordering: "auto" (default, also when
+	// empty; picks multicolor when the lattice's natural dependency levels
+	// are too narrow to fan out), "natural", or "multicolor".
 	Ordering string `json:"ordering"`
 	// Precision selects the IC0 factor storage precision: "auto" (default,
-	// float32 when the factor tiles), "float64"/"f64"/"double", or
-	// "float32"/"f32"/"single". Empty falls back to the server's
-	// -precision flag.
+	// also when empty; float32 when the factor tiles),
+	// "float64"/"f64"/"double", or "float32"/"f32"/"single".
 	Precision string `json:"precision"`
 
 	// IncludeField returns the sampled von Mises field in the response
@@ -97,10 +95,8 @@ type JobRequest struct {
 	IncludeField bool `json:"includeField"`
 }
 
-// ToJob validates the request and converts it to an engine job. The
-// defaults (the server's -precond, -ordering and -precision flags) apply
-// when the request does not name a preconditioner, ordering or precision.
-func (r *JobRequest) ToJob(defaultPrecond morestress.Precond, defaultOrdering morestress.Ordering, defaultPrecision morestress.Precision) (morestress.Job, error) {
+// ToJob validates the request and converts it to an engine job.
+func (r *JobRequest) ToJob() (morestress.Job, error) {
 	var job morestress.Job
 	pitch := r.Pitch
 	if pitch == 0 {
@@ -163,26 +159,17 @@ func (r *JobRequest) ToJob(defaultPrecond morestress.Precond, defaultOrdering mo
 	default:
 		return job, fmt.Errorf("unknown solver %q (want \"gmres\", \"cg\", or \"direct\")", r.Solver)
 	}
-	precond := defaultPrecond
-	if r.Precond != "" {
-		var err error
-		if precond, err = morestress.ParsePrecond(r.Precond); err != nil {
-			return job, err
-		}
+	precond, err := morestress.ParsePrecond(r.Precond)
+	if err != nil {
+		return job, err
 	}
-	ordering := defaultOrdering
-	if r.Ordering != "" {
-		var err error
-		if ordering, err = morestress.ParseOrdering(r.Ordering); err != nil {
-			return job, err
-		}
+	ordering, err := morestress.ParseOrdering(r.Ordering)
+	if err != nil {
+		return job, err
 	}
-	precision := defaultPrecision
-	if r.Precision != "" {
-		var err error
-		if precision, err = morestress.ParsePrecision(r.Precision); err != nil {
-			return job, err
-		}
+	precision, err := morestress.ParsePrecision(r.Precision)
+	if err != nil {
+		return job, err
 	}
 	job.Options = morestress.SolverOptions{Tol: r.Tol, MaxIter: r.MaxIter, Precond: precond, Ordering: ordering, Precision: precision}
 	return job, nil
@@ -269,12 +256,6 @@ type Server struct {
 	// (nil otherwise); held so /stats can report it and /readyz can check
 	// that it still takes appends.
 	Journal *wal.Log
-	// Precond, Ordering, and Precision are the server-wide defaults
-	// (-precond, -ordering, and -precision flags), applied to requests that
-	// do not name one.
-	Precond   morestress.Precond
-	Ordering  morestress.Ordering
-	Precision morestress.Precision
 	// PerShard, when the engine is an in-process shard set, returns the
 	// per-shard engine snapshots /stats breaks out under "shards" (nil for
 	// a single engine).
@@ -380,7 +361,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	job, err := req.ToJob(s.Precond, s.Ordering, s.Precision)
+	job, err := req.ToJob()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -459,7 +440,7 @@ type StatsResponse struct {
 		PrecondBuilds int64 `json:"precondBuilds"`
 		PrecondHits   int64 `json:"precondHits"`
 		// OrderingCounts tallies iterative solves by the symmetric
-		// ordering their preconditioner factored under ("natural", "rcm",
+		// ordering their preconditioner factored under ("natural",
 		// "multicolor"); orderings that never ran are omitted.
 		OrderingCounts map[string]int64 `json:"orderingCounts"`
 		// PrecisionCounts tallies iterative solves by the storage precision

@@ -290,9 +290,12 @@ func TestSolveOrderingField(t *testing.T) {
 		t.Errorf("iterative response should name the concrete ordering, got %q", out.Ordering)
 	}
 
-	resp, _ = post(`{"rows":1,"cols":1,"ordering":"bogus"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown ordering: status %d, want 400", resp.StatusCode)
+	// "rcm" was an ordering once and is now as unknown as any other word.
+	for _, ord := range []string{"bogus", "rcm"} {
+		resp, _ = post(`{"rows":1,"cols":1,"ordering":"` + ord + `"}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown ordering %q: status %d, want 400", ord, resp.StatusCode)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/stats")

@@ -45,7 +45,7 @@ func BenchmarkCG(b *testing.B) {
 	a, rhs := benchMatrix(20, 20, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := CG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
+		if _, _, err := PCG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func BenchmarkAblationFactorReuse(b *testing.B) {
 	b.Run("iterative-per-rhs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, rhs := range rhss {
-				if _, _, err := CG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
+				if _, _, err := PCG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -197,7 +197,7 @@ func BenchmarkIC0Apply(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	workers := runtime.GOMAXPROCS(0)
 	for _, sys := range systems {
-		p, err := newIC0Ordered(sys.a, sys.ord)
+		p, err := newIC0Layout(sys.a, sys.ord, PrecisionAuto, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,11 +241,11 @@ func BenchmarkIC0ApplyBlocked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f64, err := newIC0Prec(a, OrderingNatural, PrecisionFloat64)
+	f64, err := newIC0Layout(a, OrderingNatural, PrecisionFloat64, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f32, err := newIC0Prec(a, OrderingNatural, PrecisionAuto)
+	f32, err := newIC0Layout(a, OrderingNatural, PrecisionAuto, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func BenchmarkPCGNoAlloc(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
-	m, err := NewPreconditioner(PrecondIC0, a)
+	m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func FuzzMulticolorOrdering(f *testing.F) {
 		// and greedy color c always has a strictly descending color path
 		// beneath it, so depth is at least the color count) — while other
 		// dimensions keep the scalar one-level-per-color shape.
-		p, err := newIC0Ordered(m, OrderingMulticolor)
+		p, err := newIC0Layout(m, OrderingMulticolor, PrecisionAuto, true)
 		if err != nil {
 			t.Fatalf("ic0: %v", err)
 		}

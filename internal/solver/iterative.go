@@ -136,14 +136,6 @@ func jacobi(a *sparse.CSR) []float64 {
 	return d
 }
 
-// CG solves the symmetric positive-definite system a·x = b with a
-// preconditioned conjugate-gradient iteration; it is PCG under its
-// historical name (the preconditioner comes from Options.Precond, default
-// PrecondAuto). x0 may be nil.
-func CG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
-	return PCG(a, b, x0, opt)
-}
-
 // GMRES solves a·x = b with left-preconditioned restarted GMRES(m) using
 // modified Gram–Schmidt orthogonalization and Givens rotations. This is the
 // global-stage solver recommended by the paper (§4.3). The preconditioner
@@ -169,9 +161,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 	if pre == nil {
 		tBuild := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		var err error
-		// Worker-aware ordering resolution, matching PCG: see
-		// ResolveOrderingFor.
-		pre, err = NewPreconditionerPrec(kind, ResolveOrderingFor(opt.Ordering, a, opt.Workers), opt.Precision, a)
+		pre, err = NewPreconditioner(kind, opt.Ordering, opt.Precision, a)
 		if err != nil {
 			return nil, st, err
 		}

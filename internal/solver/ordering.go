@@ -20,26 +20,29 @@ const (
 	// levels are already wide enough to fan out, and switches to the greedy
 	// multicolor ordering when they are narrow (max level width of the
 	// lower-triangular pattern below AutoMulticolorWidth rows), the system
-	// is at least AutoMulticolorMinDoFs, and the resolving solve has more
-	// than one worker (ResolveOrderingFor; with one worker — a single core,
-	// or one chain of a saturated batch — wide levels buy nothing and the
-	// multicolor factor costs extra iterations).
+	// is at least AutoMulticolorMinDoFs, and the process runs parallel
+	// kernels at all (DefaultWorkers > 1; on one core wide levels buy
+	// nothing and the multicolor factor costs extra iterations). The rule
+	// reads the matrix and process-wide settings only, never a solve's own
+	// worker count, so one lattice resolves to one factor however its
+	// solves are scheduled (ResolveOrdering).
 	OrderingAuto OrderingKind = iota
 	// OrderingNatural factors in the matrix's own row order. On the reduced
 	// global lattices this yields deep, narrow dependency DAGs (PR 4
 	// measured 18×18 at 1 445 levels ≤ 24 rows wide), so the level-scheduled
 	// solves fall back to their serial loops.
 	OrderingNatural
-	// OrderingRCM factors under the reverse Cuthill–McKee ordering (RCM).
-	// Bandwidth reduction makes the DAG even deeper; exposed for the
-	// measurement harness and ablations, not expected to win.
-	OrderingRCM
+	// Value 2 stays unassigned: journaled jobs store the raw value, so
+	// renumbering would replay them under a different ordering. (It was the
+	// reverse Cuthill–McKee ordering, which lost to natural on every
+	// measured lattice; docs/SOLVER_TUNING.md keeps the numbers.)
+
 	// OrderingMulticolor factors under the greedy multicolor ordering
 	// (Multicolor): rows of one color are mutually independent, so the
 	// factor's forward and backward schedules collapse to one level per
 	// color and every level is wide. Trades a few extra PCG iterations for
 	// parallel preconditioner application.
-	OrderingMulticolor
+	OrderingMulticolor OrderingKind = 3
 
 	// NumOrderings bounds the kinds, for stats arrays indexed by ordering.
 	NumOrderings = 4
@@ -66,15 +69,13 @@ const DefaultAutoMulticolorWidth = 64
 // the coloring's weaker factor — docs/SOLVER_TUNING.md has the table.
 const AutoMulticolorMinDoFs = sparse.MinParRows
 
-// String returns the flag/JSON spelling of the kind (see ParseOrdering).
+// String returns the JSON spelling of the kind (see ParseOrdering).
 func (k OrderingKind) String() string {
 	switch k {
 	case OrderingAuto:
 		return "auto"
 	case OrderingNatural:
 		return "natural"
-	case OrderingRCM:
-		return "rcm"
 	case OrderingMulticolor:
 		return "multicolor"
 	}
@@ -82,19 +83,17 @@ func (k OrderingKind) String() string {
 }
 
 // ParseOrdering maps the String spellings (plus "") back to a kind; the
-// serve flags and request fields go through here.
+// request fields go through here.
 func ParseOrdering(s string) (OrderingKind, error) {
 	switch s {
 	case "", "auto":
 		return OrderingAuto, nil
 	case "natural":
 		return OrderingNatural, nil
-	case "rcm":
-		return OrderingRCM, nil
 	case "multicolor":
 		return OrderingMulticolor, nil
 	}
-	return OrderingAuto, fmt.Errorf("solver: unknown ordering %q (want auto, natural, rcm, or multicolor)", s)
+	return OrderingAuto, fmt.Errorf("solver: unknown ordering %q (want auto, natural, or multicolor)", s)
 }
 
 // Multicolor computes a greedy multicolor (graph-coloring) ordering of the
@@ -274,41 +273,30 @@ func NaturalLevelWidth(a *sparse.CSR) int {
 }
 
 // ResolveOrdering maps OrderingAuto to the concrete ordering chosen for the
-// matrix at GOMAXPROCS parallelism; see ResolveOrderingFor.
+// matrix: multicolor when the system is large enough for fan-out to matter
+// (AutoMulticolorMinDoFs), the natural-order schedule is too narrow to fan
+// out (NaturalLevelWidth below AutoMulticolorWidth), and the process runs
+// parallel kernels (DefaultWorkers > 1); natural otherwise. Concrete kinds
+// resolve to themselves. The probe costs one O(nnz) sweep, which the
+// assembly cache pays once per lattice.
 func ResolveOrdering(k OrderingKind, a *sparse.CSR) OrderingKind {
-	return ResolveOrderingFor(k, a, 0)
-}
-
-// ResolveOrderingFor maps OrderingAuto to the concrete ordering chosen for
-// the matrix and the solve's worker count: multicolor when the system is
-// large enough for fan-out to matter (AutoMulticolorMinDoFs), the
-// natural-order schedule is too narrow to fan out (NaturalLevelWidth below
-// AutoMulticolorWidth), and the solve actually runs parallel kernels
-// (workers > 1; 0 defaults to GOMAXPROCS); natural otherwise. The worker
-// count matters: a batch engine that splits the machine across concurrent
-// chains hands each solve only a share of GOMAXPROCS, and a 1-worker solve
-// would pay the coloring's extra iterations with zero fan-out benefit.
-// Concrete kinds resolve to themselves. The probe costs one O(nnz) sweep —
-// callers that resolve per solve (the assembly cache) memoize it.
-func ResolveOrderingFor(k OrderingKind, a *sparse.CSR, workers int) OrderingKind {
 	if k != OrderingAuto {
 		return k
 	}
-	if normWorkers(workers) <= 1 || a.NRows < AutoMulticolorMinDoFs {
+	if DefaultWorkers() <= 1 || a.NRows < AutoMulticolorMinDoFs {
 		return OrderingNatural // skip the probe when the cheap guards decide
 	}
-	return OrderingFromWidth(k, a.NRows, NaturalLevelWidth(a), workers)
+	return OrderingFromWidth(k, a.NRows, NaturalLevelWidth(a))
 }
 
-// OrderingFromWidth applies the OrderingAuto rule to a precomputed
-// natural-order level width (NaturalLevelWidth), for callers that memoize
-// the O(nnz) probe — the assembly cache resolves per solve but probes each
-// lattice once. Semantics match ResolveOrderingFor.
-func OrderingFromWidth(k OrderingKind, n, width, workers int) OrderingKind {
+// OrderingFromWidth applies the OrderingAuto rule to an n-row system whose
+// natural-order level width (NaturalLevelWidth) is already known.
+// Semantics match ResolveOrdering.
+func OrderingFromWidth(k OrderingKind, n, width int) OrderingKind {
 	if k != OrderingAuto {
 		return k
 	}
-	if normWorkers(workers) <= 1 || n < AutoMulticolorMinDoFs {
+	if DefaultWorkers() <= 1 || n < AutoMulticolorMinDoFs {
 		return OrderingNatural
 	}
 	if width < AutoMulticolorWidth() {
@@ -323,10 +311,7 @@ func OrderingFromWidth(k OrderingKind, n, width, workers int) OrderingKind {
 // survives the reordering; scalar coloring remains for dimensions not
 // divisible by 3.
 func orderingPerm(k OrderingKind, a *sparse.CSR) []int32 {
-	switch k {
-	case OrderingRCM:
-		return RCM(a)
-	case OrderingMulticolor:
+	if k == OrderingMulticolor {
 		if a.NRows == a.NCols && a.NRows%sparse.BlockSize == 0 {
 			perm, _ := MulticolorNodes(a)
 			return perm

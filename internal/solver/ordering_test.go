@@ -86,11 +86,11 @@ func TestMulticolorValidColoring(t *testing.T) {
 func TestMulticolorCollapsesLevels(t *testing.T) {
 	// Blocked path: n divisible by 3 → node coloring + tiled factor.
 	a := latticeLike(12, 12, 9) // narrow natural DAG by construction
-	natural, err := newIC0Ordered(a, OrderingNatural)
+	natural, err := newIC0Layout(a, OrderingNatural, PrecisionAuto, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	colored, err := newIC0Ordered(a, OrderingMulticolor)
+	colored, err := newIC0Layout(a, OrderingMulticolor, PrecisionAuto, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestMulticolorCollapsesLevels(t *testing.T) {
 	// the scalar coloring, with the original one-level-per-color contract
 	// and the NaturalLevelWidth probe matching the factored schedule.
 	s := latticeLike(11, 11, 10) // 1210 DoFs, not a multiple of 3
-	snat, err := newIC0Ordered(s, OrderingNatural)
+	snat, err := newIC0Layout(s, OrderingNatural, PrecisionAuto, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scol, err := newIC0Ordered(s, OrderingMulticolor)
+	scol, err := newIC0Layout(s, OrderingMulticolor, PrecisionAuto, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestOrderingResolve(t *testing.T) {
 	narrow := latticeLike(24, 24, 9) // 5184 DoFs ≥ AutoMulticolorMinDoFs
 	small := latticeLike(10, 10, 9)  // 900 DoFs: too small for fan-out
 	wide := blockIndependent(600, 12)
-	for _, k := range []OrderingKind{OrderingNatural, OrderingRCM, OrderingMulticolor} {
+	for _, k := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
 		if got := ResolveOrdering(k, narrow); got != k {
 			t.Errorf("concrete kind %v resolved to %v", k, got)
 		}
@@ -231,26 +231,16 @@ func TestOrderingResolve(t *testing.T) {
 	if got := ResolveOrdering(OrderingAuto, small); got != OrderingNatural {
 		t.Errorf("auto below AutoMulticolorMinDoFs resolved to %v, want natural", got)
 	}
-	// Worker-aware resolution: a 1-worker solve keeps natural even on a
-	// parallel machine (a batch chain handed one worker must not pay the
-	// multicolor iteration penalty), and an explicit workers > 1 enables
-	// multicolor regardless of GOMAXPROCS.
-	if got := ResolveOrderingFor(OrderingAuto, narrow, 1); got != OrderingNatural {
-		t.Errorf("auto with 1 worker resolved to %v, want natural", got)
-	}
-	if got := ResolveOrderingFor(OrderingAuto, narrow, 4); got != OrderingMulticolor {
-		t.Errorf("auto with 4 workers resolved to %v, want multicolor", got)
-	}
-	if got := OrderingFromWidth(OrderingAuto, narrow.NRows, 24, 4); got != OrderingMulticolor {
+	if got := OrderingFromWidth(OrderingAuto, narrow.NRows, 24); got != OrderingMulticolor {
 		t.Errorf("OrderingFromWidth(narrow) = %v, want multicolor", got)
 	}
-	if got := OrderingFromWidth(OrderingAuto, narrow.NRows, 600, 4); got != OrderingNatural {
+	if got := OrderingFromWidth(OrderingAuto, narrow.NRows, 600); got != OrderingNatural {
 		t.Errorf("OrderingFromWidth(wide) = %v, want natural", got)
 	}
 }
 
 func TestParseOrderingRoundTrip(t *testing.T) {
-	for _, k := range []OrderingKind{OrderingAuto, OrderingNatural, OrderingRCM, OrderingMulticolor} {
+	for _, k := range []OrderingKind{OrderingAuto, OrderingNatural, OrderingMulticolor} {
 		got, err := ParseOrdering(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseOrdering(%q) = %v, %v", k.String(), got, err)
@@ -265,7 +255,7 @@ func TestParseOrderingRoundTrip(t *testing.T) {
 }
 
 // TestPCGOrderingsAgree is the property test of the issue: PCG under the
-// natural, RCM, and multicolor orderings must converge to the same solution
+// natural and multicolor orderings must converge to the same solution
 // (the preconditioner changes the path, never the fixed point), and each
 // ordering must be bitwise identical across worker counts (the parallel
 // triangular solves and the permute scatter/gather are deterministic).
@@ -282,7 +272,7 @@ func TestPCGOrderingsAgree(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		var ref []float64
-		for _, ord := range []OrderingKind{OrderingNatural, OrderingRCM, OrderingMulticolor} {
+		for _, ord := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
 			x1, st, err := PCG(a, b, nil, Options{Tol: 1e-10, Precond: PrecondIC0, Ordering: ord, Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, ord, err)
@@ -292,7 +282,7 @@ func TestPCGOrderingsAgree(t *testing.T) {
 			}
 			// Worker counts must not change a single bit for a fixed ordering.
 			for _, w := range []int{2, 4, 8} {
-				m, err := NewPreconditionerOrdered(PrecondIC0, ord, a)
+				m, err := NewPreconditioner(PrecondIC0, ord, PrecisionAuto, a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -334,7 +324,7 @@ func TestPCGOrderingsAgree(t *testing.T) {
 
 // TestIC0PermutedBitwiseAcrossDispatch extends the PR 4 bitwise contract to
 // permuted factors: spawn and pool dispatch at every worker count must match
-// the serial application exactly, for RCM and multicolor orderings.
+// the serial application exactly, for the multicolor ordering.
 func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	systems := map[string]*sparse.CSR{
@@ -344,8 +334,8 @@ func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 		"dense-row": arrowCSR(400),
 	}
 	for name, a := range systems {
-		for _, ord := range []OrderingKind{OrderingRCM, OrderingMulticolor} {
-			p, err := newIC0Ordered(a, ord)
+		for _, ord := range []OrderingKind{OrderingMulticolor} {
+			p, err := newIC0Layout(a, ord, PrecisionAuto, true)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, ord, err)
 			}
@@ -392,7 +382,7 @@ func TestPCGZeroAllocsMulticolor(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	for _, workers := range []int{1, 4} {
-		m, err := NewPreconditionerOrdered(PrecondIC0, OrderingMulticolor, a)
+		m, err := NewPreconditioner(PrecondIC0, OrderingMulticolor, PrecisionAuto, a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ const (
 // error also matches ErrStalled, so warm-start fallbacks fire too.
 var ErrPrecision = errors.New("mixed-precision factor stalled")
 
-// String returns the flag/JSON spelling of the kind (see ParsePrecision).
+// String returns the JSON spelling of the kind (see ParsePrecision).
 func (p Precision) String() string {
 	switch p {
 	case PrecisionAuto:
@@ -57,8 +57,7 @@ func (p Precision) String() string {
 }
 
 // ParsePrecision maps the String spellings (plus "" and the f64/f32
-// shorthands) back to a kind; the serve flags and request fields go through
-// here.
+// shorthands) back to a kind; the request fields go through here.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "", "auto":

@@ -55,11 +55,11 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 			if scalar.Blocked() {
 				t.Fatalf("%s/%v: layout-suppressed factor is blocked", name, ord)
 			}
-			b64, err := newIC0Prec(a, ord, PrecisionFloat64)
+			b64, err := newIC0Layout(a, ord, PrecisionFloat64, true)
 			if err != nil {
 				t.Fatalf("%s/%v f64: %v", name, ord, err)
 			}
-			b32, err := newIC0Prec(a, ord, PrecisionAuto)
+			b32, err := newIC0Layout(a, ord, PrecisionAuto, true)
 			if err != nil {
 				t.Fatalf("%s/%v f32: %v", name, ord, err)
 			}
@@ -129,7 +129,7 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 func TestPrecisionDegradesOnScalarLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	a := randSPDSparse(rng, 700, 4) // 700 % 3 != 0: scalar layout
-	p, err := newIC0Prec(a, OrderingNatural, PrecisionFloat32)
+	p, err := newIC0Layout(a, OrderingNatural, PrecisionFloat32, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPrecisionDegradesOnScalarLayout(t *testing.T) {
 	// padding must also stay scalar: elasticity3's off-diagonal node tiles
 	// hold 3 of 9 entries, below BlockFillMin.
 	sparse3 := elasticity3(6, 6, 5)
-	p, err = newIC0Prec(sparse3, OrderingNatural, PrecisionAuto)
+	p, err = newIC0Layout(sparse3, OrderingNatural, PrecisionAuto, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
 	}
 	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
 		for _, workers := range []int{1, 4} {
-			m, err := NewPreconditionerPrec(PrecondIC0, OrderingAuto, prec, a)
+			m, err := NewPreconditioner(PrecondIC0, OrderingAuto, prec, a)
 			if err != nil {
 				t.Fatal(err)
 			}

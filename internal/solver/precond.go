@@ -92,7 +92,7 @@ func (k PrecondKind) resolve(n, ic0At int) PrecondKind {
 	}
 }
 
-// String returns the flag/JSON spelling of the kind (see ParsePrecond).
+// String returns the JSON spelling of the kind (see ParsePrecond).
 func (k PrecondKind) String() string {
 	switch k {
 	case PrecondAuto:
@@ -110,7 +110,7 @@ func (k PrecondKind) String() string {
 }
 
 // ParsePrecond maps the String spellings (plus "" and the "bj3" shorthand)
-// back to a kind; the serve flags and request fields go through here.
+// back to a kind; the request fields go through here.
 func ParsePrecond(s string) (PrecondKind, error) {
 	switch s {
 	case "", "auto":
@@ -141,35 +141,22 @@ func JacobiFamily(n int) PrecondKind {
 }
 
 // NewPreconditioner builds the requested preconditioner for the SPD matrix a,
-// resolving PrecondAuto against the matrix size first, with the default
-// (auto) ordering. Every construction in the package funnels through
-// NewPreconditionerOrdered so no solver path hardwires its own
-// preconditioner.
-func NewPreconditioner(kind PrecondKind, a *sparse.CSR) (Preconditioner, error) {
-	return NewPreconditionerOrdered(kind, OrderingAuto, a)
-}
-
-// NewPreconditionerOrdered is NewPreconditioner with an explicit symmetric
-// ordering for the factorizing kinds: IC0 factors the permuted matrix
-// P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes the factor's
-// dependency DAG without changing the preconditioned operator's symmetry.
-// The Jacobi family and the identity are ordering-invariant and ignore ord.
-// Factor storage precision defaults to PrecisionAuto.
-func NewPreconditionerOrdered(kind PrecondKind, ord OrderingKind, a *sparse.CSR) (Preconditioner, error) {
-	return NewPreconditionerPrec(kind, ord, PrecisionAuto, a)
-}
-
-// NewPreconditionerPrec is NewPreconditionerOrdered with an explicit factor
-// storage precision for the factorizing kinds (see Precision); the
-// ordering-invariant kinds ignore both ord and prec.
-func NewPreconditionerPrec(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.CSR) (Preconditioner, error) {
+// resolving PrecondAuto against the matrix size first. Every construction
+// in the package funnels through it so no solver path hardwires its own
+// preconditioner. For the factorizing kinds, ord is the symmetric ordering
+// (IC0 factors the permuted matrix P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the
+// ordering shapes the factor's dependency DAG without changing the
+// preconditioned operator's symmetry; OrderingAuto resolves through
+// ResolveOrdering) and prec the factor storage precision (see Precision).
+// The Jacobi family and the identity ignore both.
+func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.CSR) (Preconditioner, error) {
 	switch kind.Resolve(a.NRows) {
 	case PrecondJacobi:
 		return jacobiPrecond{inv: jacobi(a)}, nil
 	case PrecondBlockJacobi3:
 		return newBlockJacobi3(a)
 	case PrecondIC0:
-		return newIC0Prec(a, ord, prec)
+		return newIC0Layout(a, ord, prec, true)
 	case PrecondNone:
 		return identityPrecond{}, nil
 	}
@@ -322,22 +309,10 @@ type ic0 struct {
 	prec Precision
 }
 
-// newIC0 factors in natural order (the serial-reference construction the
-// tests pin down); production paths go through newIC0Prec.
-func newIC0(a *sparse.CSR) (*ic0, error) { return newIC0Ordered(a, OrderingNatural) }
-
-func newIC0Ordered(a *sparse.CSR, ord OrderingKind) (*ic0, error) {
-	return newIC0Prec(a, ord, PrecisionAuto)
-}
-
-func newIC0Prec(a *sparse.CSR, ord OrderingKind, prec Precision) (*ic0, error) {
-	return newIC0Layout(a, ord, prec, true)
-}
-
-// newIC0Layout is newIC0Prec with the blocked-layout commit gated: block ==
-// false keeps the scalar factor even when the tiles would engage, so the
-// equivalence tests can compare the tiled kernels against a scalar factor of
-// the same system. Production paths always pass block == true.
+// newIC0Layout factors a under ord with factor storage precision prec.
+// block == false keeps the scalar factor even when the tiles would engage,
+// so the equivalence tests can compare the tiled kernels against a scalar
+// factor of the same system. Production paths always pass block == true.
 func newIC0Layout(a *sparse.CSR, ord OrderingKind, prec Precision, block bool) (*ic0, error) {
 	if a.NRows != a.NCols {
 		return nil, fmt.Errorf("solver: IC0 requires a square matrix")
@@ -555,10 +530,7 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 	if m == nil {
 		tBuild := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		var err error
-		// The ordering resolves against this solve's worker count: a
-		// 1-worker solve keeps the natural factor even on a parallel
-		// machine (no fan-out to pay for the coloring's extra iterations).
-		m, err = NewPreconditionerPrec(kind, ResolveOrderingFor(opt.Ordering, a, opt.Workers), opt.Precision, a)
+		m, err = NewPreconditioner(kind, opt.Ordering, opt.Precision, a)
 		if err != nil {
 			return nil, st, err
 		}

@@ -78,7 +78,7 @@ func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 	}
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 	for name, a := range systems {
-		p, err := newIC0(a)
+		p, err := newIC0Layout(a, OrderingNatural, PrecisionAuto, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -124,7 +124,7 @@ func TestPCGWorkspaceMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v plain: %v", kind, err)
 		}
-		m, err := NewPreconditioner(kind, a)
+		m, err := NewPreconditioner(kind, OrderingAuto, PrecisionAuto, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestPCGZeroAllocs(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	for _, workers := range []int{1, 4} {
-		m, err := NewPreconditioner(PrecondIC0, a)
+		m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestPCGZeroAllocsParallelMatVec(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	m, err := NewPreconditioner(PrecondIC0, a)
+	m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
 	if err != nil {
 		t.Fatal(err)
 	}

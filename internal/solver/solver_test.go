@@ -222,7 +222,7 @@ func TestCGConverges(t *testing.T) {
 	a := laplacian3D(8, 8, 8)
 	rng := rand.New(rand.NewSource(4))
 	b := randVec(rng, a.NRows)
-	x, stats, err := CG(a, b, nil, Options{Tol: 1e-10})
+	x, stats, err := PCG(a, b, nil, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestCGConverges(t *testing.T) {
 
 func TestCGZeroRHS(t *testing.T) {
 	a := laplacian3D(3, 3, 3)
-	x, stats, err := CG(a, make([]float64, a.NRows), nil, Options{})
+	x, stats, err := PCG(a, make([]float64, a.NRows), nil, Options{})
 	if err != nil || !stats.Converged {
 		t.Fatalf("zero rhs: %v %v", stats, err)
 	}
@@ -251,7 +251,7 @@ func TestCGRejectsIndefinite(t *testing.T) {
 	tr := sparse.NewTriplet(2, 2, 2)
 	tr.Add(0, 0, 1)
 	tr.Add(1, 1, -1)
-	if _, _, err := CG(tr.ToCSR(), []float64{0, 1}, nil, Options{}); err == nil {
+	if _, _, err := PCG(tr.ToCSR(), []float64{0, 1}, nil, Options{}); err == nil {
 		t.Error("expected CG breakdown on indefinite matrix")
 	}
 }
@@ -327,7 +327,7 @@ func TestCGAndGMRESAgree(t *testing.T) {
 	a := laplacian3D(6, 6, 6)
 	rng := rand.New(rand.NewSource(9))
 	b := randVec(rng, a.NRows)
-	xc, _, err := CG(a, b, nil, Options{Tol: 1e-11})
+	xc, _, err := PCG(a, b, nil, Options{Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestSolversMatchCholesky(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := chol.Solve(b)
-	iter, _, err := CG(a, b, nil, Options{Tol: 1e-12})
+	iter, _, err := PCG(a, b, nil, Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

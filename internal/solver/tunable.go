@@ -9,7 +9,7 @@ import (
 // OrderingAuto multicolor width, and the package-wide worker default — are
 // startup-tunable: internal/solver/tuning derives them from the measured
 // host profiles in BENCH_global.json (the embedded snapshot, or a -tuning
-// file on serve/router) and applies them before the first solve. The
+// file on serve) and applies them before the first solve. The
 // Default* constants remain the hand-measured fallback used whenever no
 // profile matches the running host. The values are atomics so a tuning
 // application racing an in-flight solve is merely a stale read, never a

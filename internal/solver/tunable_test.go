@@ -32,15 +32,18 @@ func TestTunableSettersRoundTrip(t *testing.T) {
 	}
 
 	// Width 0 is meaningful: no natural schedule is narrower than zero rows,
-	// so OrderingAuto never switches to multicolor.
+	// so OrderingAuto never switches to multicolor. The rule only considers
+	// multicolor when the process runs parallel kernels.
+	SetDefaultWorkers(8)
 	SetAutoMulticolorWidth(0)
-	if got := OrderingFromWidth(OrderingAuto, 1<<20, 1, 8); got != OrderingNatural {
+	if got := OrderingFromWidth(OrderingAuto, 1<<20, 1); got != OrderingNatural {
 		t.Errorf("OrderingFromWidth with width threshold 0 = %v, want natural", got)
 	}
 	SetAutoMulticolorWidth(128)
-	if got := OrderingFromWidth(OrderingAuto, 1<<20, 100, 8); got != OrderingMulticolor {
+	if got := OrderingFromWidth(OrderingAuto, 1<<20, 100); got != OrderingMulticolor {
 		t.Errorf("OrderingFromWidth(width=100) under threshold 128 = %v, want multicolor", got)
 	}
+	SetDefaultWorkers(0)
 	SetAutoMulticolorWidth(-1)
 	if got := AutoMulticolorWidth(); got != DefaultAutoMulticolorWidth {
 		t.Errorf("SetAutoMulticolorWidth(-1) left %d, want default %d", got, DefaultAutoMulticolorWidth)

@@ -2,7 +2,7 @@
 // harness and the solver's auto-selection knobs: it reads the per-host
 // profile sections of a bench-global/v2 snapshot (BENCH_global.json, the
 // embedded copy of its host_profiles section, or a -tuning file handed to
-// serve/router), matches the running host by (GOOS, GOARCH, nproc), and
+// serve), matches the running host by (GOOS, GOARCH, nproc), and
 // derives the live values of solver.AutoIC0Threshold,
 // solver.AutoMulticolorWidth, and solver.DefaultWorkers from that host's
 // own measurements instead of the hand-set constants.
@@ -46,7 +46,7 @@ import (
 // snapshotJSON is the embedded copy of BENCH_global.json's host_profiles
 // section, regenerated by `benchcheck -ingest ... -snapshot
 // internal/solver/tuning/snapshot.json` whenever the measured data changes
-// (docs/MEASUREMENT.md). It is the tuning source when serve/router run
+// (docs/MEASUREMENT.md). It is the tuning source when serve runs
 // without a -tuning file.
 //
 //go:embed snapshot.json

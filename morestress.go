@@ -73,7 +73,7 @@ const (
 	PrecondNone = solver.PrecondNone
 )
 
-// ParsePrecond maps the flag/JSON spellings ("auto", "jacobi",
+// ParsePrecond maps the JSON spellings ("auto", "jacobi",
 // "block-jacobi3"/"bj3", "ic0", "none") to a Precond.
 func ParsePrecond(s string) (Precond, error) { return solver.ParsePrecond(s) }
 
@@ -81,20 +81,19 @@ func ParsePrecond(s string) (Precond, error) { return solver.ParsePrecond(s) }
 const (
 	// OrderingAuto (the default) keeps the natural ordering when its
 	// dependency levels already fan out and switches IC0 to multicolor when
-	// they are narrow (solver.AutoMulticolorWidth) and parallelism is
-	// available.
+	// they are narrow (solver.AutoMulticolorWidth) and the process runs
+	// parallel kernels (solver.DefaultWorkers > 1); it resolves once per
+	// lattice.
 	OrderingAuto = solver.OrderingAuto
 	// OrderingNatural factors in the matrix's own row order.
 	OrderingNatural = solver.OrderingNatural
-	// OrderingRCM factors under the reverse Cuthill–McKee ordering.
-	OrderingRCM = solver.OrderingRCM
 	// OrderingMulticolor factors under the greedy multicolor ordering: one
 	// wide dependency level per color, parallel preconditioner application.
 	OrderingMulticolor = solver.OrderingMulticolor
 )
 
-// ParseOrdering maps the flag/JSON spellings ("auto", "natural", "rcm",
-// "multicolor") to an Ordering.
+// ParseOrdering maps the JSON spellings ("auto", "natural", "multicolor")
+// to an Ordering.
 func ParseOrdering(s string) (Ordering, error) { return solver.ParseOrdering(s) }
 
 // Factor-precision choices for SolverOptions.Precision.
@@ -112,7 +111,7 @@ const (
 	PrecisionFloat32 = solver.PrecisionFloat32
 )
 
-// ParsePrecision maps the flag/JSON spellings ("auto", "float64"/"f64"/
+// ParsePrecision maps the JSON spellings ("auto", "float64"/"f64"/
 // "double", "float32"/"f32"/"single") to a Precision.
 func ParsePrecision(s string) (Precision, error) { return solver.ParsePrecision(s) }
 
