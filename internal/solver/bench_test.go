@@ -172,9 +172,9 @@ func blockIndependent(blocks, bs int) *sparse.CSR {
 	return t.ToCSR()
 }
 
-// BenchmarkIC0Apply compares the serial reference application of the IC0
-// preconditioner against the level-scheduled parallel one (spawn and
-// resident-pool dispatch) in both dependency regimes. The narrowDAG system
+// BenchmarkIC0Apply compares the serial application of the IC0
+// preconditioner (a one-worker workspace) against the level-scheduled one
+// dispatched through a resident pool, in both dependency regimes. The narrowDAG system
 // mimics the reduced global matrices (dense block rows in natural lattice
 // order): its levels are deep and narrow, the serial fallback engages, and
 // levelsched must track serial with no overhead. The wideDAG system
@@ -195,7 +195,9 @@ func BenchmarkIC0Apply(b *testing.B) {
 		{"wideDAG", blockIndependent(600, 24), OrderingNatural}, // 14400 DoFs, 24 levels × 600 rows
 	}
 	rng := rand.New(rand.NewSource(3))
-	workers := runtime.GOMAXPROCS(0)
+	serial := NewWorkspace(1)
+	pooled := NewWorkspace(runtime.GOMAXPROCS(0))
+	defer pooled.Close()
 	for _, sys := range systems {
 		p, err := newIC0Layout(sys.a, sys.ord, PrecisionAuto, true)
 		if err != nil {
@@ -208,20 +210,12 @@ func BenchmarkIC0Apply(b *testing.B) {
 		dst := make([]float64, sys.a.NRows)
 		b.Run(sys.name+"/serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, 1, nil)
-			}
-		})
-		b.Run(sys.name+"/levelsched-spawn", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, workers, nil)
+				p.applyPar(dst, r, serial)
 			}
 		})
 		b.Run(sys.name+"/levelsched-pool", func(b *testing.B) {
-			ws := NewWorkspace(workers)
-			defer ws.Close()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, workers, ws)
+				p.applyPar(dst, r, pooled)
 			}
 		})
 	}
@@ -259,21 +253,20 @@ func BenchmarkIC0ApplyBlocked(b *testing.B) {
 		r[i] = rng.NormFloat64()
 	}
 	dst := make([]float64, a.NRows)
-	workers := runtime.GOMAXPROCS(0)
+	serialWS := NewWorkspace(1)
+	pooledWS := NewWorkspace(runtime.GOMAXPROCS(0))
+	defer pooledWS.Close()
 	serial := func(p *ic0) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, 1, nil)
+				p.applyPar(dst, r, serialWS)
 			}
 		}
 	}
 	pooled := func(p *ic0) func(b *testing.B) {
 		return func(b *testing.B) {
-			ws := NewWorkspace(workers)
-			defer ws.Close()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, workers, ws)
+				p.applyPar(dst, r, pooledWS)
 			}
 		}
 	}

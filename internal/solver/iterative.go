@@ -58,9 +58,10 @@ type Options struct {
 	MaxIter int
 	// Restart is the GMRES restart length m (default 60).
 	Restart int
-	// Workers is the number of goroutines for matrix-vector products
-	// (default GOMAXPROCS, matching the Workers convention of the array
-	// and root packages).
+	// Workers sizes the resident pool of the per-solve workspace the solver
+	// creates when Work is nil (default DefaultWorkers: GOMAXPROCS unless
+	// host-profile tuning installed a measured ceiling). Ignored when Work
+	// is set: its pool sets the parallelism.
 	Workers int
 	// Precond selects the preconditioner (default PrecondAuto: block-
 	// Jacobi-3 below AutoIC0Threshold DoFs, IC0 at and above it).
@@ -90,16 +91,16 @@ type Options struct {
 	// only: never serialized.
 	MatBlocked *sparse.BCSR
 	// Work optionally supplies a reusable Workspace (pooled work vectors,
-	// resident parallel gang). The returned solution vector is then owned
-	// by the workspace and valid only until its next solve — copy it to
-	// retain it. nil allocates per call. Runtime-only: never serialized.
+	// resident worker pool). The returned solution vector is then owned by
+	// the workspace and valid only until its next solve — copy it to retain
+	// it. nil creates a workspace with a pool of Workers for the call and
+	// closes it on return. Runtime-only: never serialized.
 	Work *Workspace
 }
 
 // normWorkers applies the package-wide worker-count default (DefaultWorkers:
-// GOMAXPROCS unless host-profile tuning installed a measured ceiling) so
-// that every matrix-vector product — including the out-of-band true-residual
-// checks — agrees with Options.withDefaults.
+// GOMAXPROCS unless host-profile tuning installed a measured ceiling) to an
+// unset worker count.
 func normWorkers(w int) int {
 	if w <= 0 {
 		return DefaultWorkers()
@@ -174,15 +175,16 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 	st.Precision = precisionOf(pre)
 	ws := opt.Work
 	if ws == nil {
-		ws = &Workspace{}
+		ws = NewWorkspace(opt.Workers)
+		defer ws.Close()
 	}
 	ws.reset()
-	ws.prepMatVec(a, opt.MatBlocked, opt.Workers)
+	ws.prepMatVec(a, opt.MatBlocked)
 	wa, _ := pre.(parApplier)
 	apply := func(dst, src []float64) {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		if wa != nil {
-			wa.applyPar(dst, src, opt.Workers, ws)
+			wa.applyPar(dst, src, ws)
 		} else {
 			pre.Apply(dst, src)
 		}
@@ -220,7 +222,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 	for totalIt < opt.MaxIter {
 		// r = M⁻¹(b − A·x); the true (unpreconditioned) residual for the
 		// convergence check falls out of the same mat-vec.
-		ws.matvec(a, w, x, opt.Workers)
+		ws.matvec(w, x)
 		var ss float64
 		for i := range b {
 			d := b[i] - w[i]
@@ -256,7 +258,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 		for k = 0; k < m && totalIt < opt.MaxIter; k++ {
 			totalIt++
 			// w = M⁻¹·A·v[k]
-			ws.matvec(a, pw, v[k], opt.Workers)
+			ws.matvec(pw, v[k])
 			apply(w, pw)
 			// Modified Gram–Schmidt.
 			for j := 0; j <= k; j++ {
@@ -303,7 +305,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 			linalg.Axpy(y[j], v[j], x)
 		}
 	}
-	ws.matvec(a, w, x, opt.Workers)
+	ws.matvec(w, x)
 	linalg.Sub(r, b, w)
 	res := linalg.Norm2(r) / bnorm
 	st.Iterations, st.Residual = totalIt, res

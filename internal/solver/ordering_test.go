@@ -323,8 +323,8 @@ func TestPCGOrderingsAgree(t *testing.T) {
 }
 
 // TestIC0PermutedBitwiseAcrossDispatch extends the PR 4 bitwise contract to
-// permuted factors: spawn and pool dispatch at every worker count must match
-// the serial application exactly, for the multicolor ordering.
+// permuted factors: pooled dispatch at every pool size must match the serial
+// application exactly, for the multicolor ordering.
 func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	systems := map[string]*sparse.CSR{
@@ -348,17 +348,11 @@ func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 				r[i] = rng.NormFloat64()
 			}
 			want := make([]float64, n)
-			p.applyPar(want, r, 1, nil)
+			p.Apply(want, r)
 			for _, w := range []int{2, 4, 8} {
 				got := make([]float64, n)
-				p.applyPar(got, r, w, nil)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s/%v spawn workers=%d: dst[%d] = %x, want %x", name, ord, w, i, got[i], want[i])
-					}
-				}
 				ws := NewWorkspace(w)
-				p.applyPar(got, r, w, ws)
+				p.applyPar(got, r, ws)
 				ws.Close()
 				for i := range want {
 					if got[i] != want[i] {

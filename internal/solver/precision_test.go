@@ -75,11 +75,11 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 				r[i] = rng.NormFloat64()
 			}
 			want := make([]float64, n)
-			scalar.applyPar(want, r, 1, nil)
+			scalar.Apply(want, r)
 			scale := 1 + maxAbsVec(want)
 
 			got := make([]float64, n)
-			b64.applyPar(got, r, 1, nil)
+			b64.Apply(got, r)
 			if d := maxAbsDiff(got, want); d > 1e-9*scale {
 				t.Fatalf("%s/%v: blocked f64 apply differs from scalar by %g", name, ord, d)
 			}
@@ -87,14 +87,14 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 			copy(want64, got)
 
 			got32 := make([]float64, n)
-			b32.applyPar(got32, r, 1, nil)
+			b32.Apply(got32, r)
 			if d := maxAbsDiff(got32, want); d > 2e-4*scale {
 				t.Fatalf("%s/%v: blocked f32 apply differs from scalar by %g", name, ord, d)
 			}
 			want32 := make([]float64, n)
 			copy(want32, got32)
 
-			// Worker counts and pooled dispatch stay bitwise per layout.
+			// Pooled dispatch stays bitwise per layout at every pool size.
 			for _, w := range workerCounts {
 				ws := NewWorkspace(w)
 				for prec, pair := range map[string][2][]float64{
@@ -104,13 +104,7 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 					if prec == "f32" {
 						p = b32
 					}
-					p.applyPar(pair[1], r, w, nil)
-					for i := range pair[0] {
-						if pair[1][i] != pair[0][i] {
-							t.Fatalf("%s/%v %s spawn workers=%d: dst[%d] = %x, want %x", name, ord, prec, w, i, pair[1][i], pair[0][i])
-						}
-					}
-					p.applyPar(pair[1], r, w, ws)
+					p.applyPar(pair[1], r, ws)
 					for i := range pair[0] {
 						if pair[1][i] != pair[0][i] {
 							t.Fatalf("%s/%v %s pool workers=%d: dst[%d] = %x, want %x", name, ord, prec, w, i, pair[1][i], pair[0][i])
@@ -291,9 +285,10 @@ func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
 }
 
 // TestWorkspaceBlockedMatVecMatchesScalar: the workspace binds the tiled
-// mat-vec to one matrix identity; for that matrix the dispatch must agree
-// with the scalar product to rounding noise, and a different matrix through
-// the same workspace must fall back to the scalar path untouched.
+// mat-vec to the matrix it is prepped with; for that matrix the dispatch
+// must agree with the scalar product to rounding noise, and tiles whose
+// dimensions do not match the prepped matrix must leave the scalar path
+// untouched.
 func TestWorkspaceBlockedMatVecMatchesScalar(t *testing.T) {
 	a := elasticity3(8, 8, 6)
 	bm, err := sparse.NewBCSR(a)
@@ -312,19 +307,22 @@ func TestWorkspaceBlockedMatVecMatchesScalar(t *testing.T) {
 	ws := NewWorkspace(4)
 	defer ws.Close()
 	ws.reset()
-	ws.prepMatVec(a, bm, 4)
+	ws.prepMatVec(a, bm)
 	got := make([]float64, a.NRows)
-	ws.matvec(a, got, x, 4)
+	ws.matvec(got, x)
 	if d := maxAbsDiff(got, want); d > 1e-10*(1+maxAbsVec(want)) {
 		t.Fatalf("blocked workspace mat-vec differs from scalar by %g", d)
 	}
 
-	// A matrix the workspace was not prepped for must not use the tiles.
+	// Tiles of a different matrix must be ignored: the binding falls back
+	// to the scalar kernel.
 	xo := x[:other.NRows]
 	wantO := make([]float64, other.NRows)
 	other.MulVec(wantO, xo)
 	gotO := make([]float64, other.NRows)
-	ws.matvec(other, gotO, xo, 4)
+	ws.reset()
+	ws.prepMatVec(other, bm)
+	ws.matvec(gotO, xo)
 	for i := range wantO {
 		if gotO[i] != wantO[i] {
 			t.Fatalf("unbound matrix: dst[%d] = %x, want scalar %x", i, gotO[i], wantO[i])

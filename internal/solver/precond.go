@@ -164,10 +164,10 @@ func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sp
 }
 
 // parApplier is implemented by preconditioners whose application
-// parallelizes: the solvers drive it with their worker count and workspace
-// (resident pool + scratch) instead of plain Apply.
+// parallelizes: the solvers drive it with their workspace (resident pool +
+// scratch) instead of plain Apply.
 type parApplier interface {
-	applyPar(dst, r []float64, workers int, ws *Workspace)
+	applyPar(dst, r []float64, ws *Workspace)
 }
 
 // Sized is implemented by preconditioners whose memory footprint matters to
@@ -417,52 +417,42 @@ func newIC0Layout(a *sparse.CSR, ord OrderingKind, prec Precision, block bool) (
 	return p, nil
 }
 
-// Apply computes dst = Pᵀ·(L·Lᵀ)⁻¹·P·r via the level-scheduled
-// forward/backward solves at GOMAXPROCS parallelism (spawning goroutines per
-// level; the workspace-backed applyPar path dispatches through a resident
-// gang instead). Falls back to the serial loops when the schedule has no
-// level wide enough to pay for fan-out.
+// Apply computes dst = Pᵀ·(L·Lᵀ)⁻¹·P·r with the serial forward/backward
+// sweeps — the reference the pooled applyPar matches bitwise. The solvers
+// call applyPar with their workspace instead.
+func (p *ic0) Apply(dst, r []float64) { p.applyPar(dst, r, NewWorkspace(1)) }
+
+// applyPar computes dst = Pᵀ·(L·Lᵀ)⁻¹·P·r via the level-scheduled
+// forward/backward solves, dispatched through the workspace's pool (serial
+// loops for a one-worker pool or a schedule with no level wide enough to
+// pay for fan-out).
 //
 //stressvet:noalloc
-func (p *ic0) Apply(dst, r []float64) { p.applyPar(dst, r, normWorkers(0), nil) }
-
-//stressvet:noalloc
-func (p *ic0) applyPar(dst, r []float64, workers int, ws *Workspace) {
-	var pool *sparse.Pool
-	var sc *sparse.TriScratch
-	var bsc *sparse.BlockTriScratch
-	if ws != nil {
-		pool, sc, bsc = ws.pool, &ws.tri, &ws.btri
-	}
+func (p *ic0) applyPar(dst, r []float64, ws *Workspace) {
 	if p.perm == nil {
 		if p.bt != nil {
-			p.bt.SolveLowerPar(dst, r, workers, pool, bsc)
-			p.bt.SolveUpperPar(dst, dst, workers, pool, bsc)
+			p.bt.SolveLowerPar(dst, r, ws.pool, &ws.btri)
+			p.bt.SolveUpperPar(dst, dst, ws.pool, &ws.btri)
 			return
 		}
-		p.t.SolveLowerPar(dst, r, workers, pool, sc)
-		p.t.SolveUpperPar(dst, dst, workers, pool, sc)
+		p.t.SolveLowerPar(dst, r, ws.pool, &ws.tri)
+		p.t.SolveUpperPar(dst, dst, ws.pool, &ws.tri)
 		return
 	}
 	// Permuted application: scatter r into factor order, solve both
 	// triangles in place, gather back. The scratch comes from the workspace
 	// so the steady-state hot loop stays allocation-free (ic0 itself is
 	// shared across concurrent solves and must hold no mutable state).
-	var buf []float64
-	if ws != nil {
-		buf = ws.permScratch(len(r)) //stressvet:allow noalloc -- inlined permScratch grows the cached scratch on first use; steady state reuses it
-	} else {
-		buf = make([]float64, len(r)) //stressvet:allow noalloc -- fallback when no workspace is supplied; steady-state callers pass ws
-	}
+	buf := ws.permScratch(len(r)) //stressvet:allow noalloc -- inlined permScratch grows the cached scratch on first use; steady state reuses it
 	for i, v := range r {
 		buf[p.perm[i]] = v
 	}
 	if p.bt != nil {
-		p.bt.SolveLowerPar(buf, buf, workers, pool, bsc)
-		p.bt.SolveUpperPar(buf, buf, workers, pool, bsc)
+		p.bt.SolveLowerPar(buf, buf, ws.pool, &ws.btri)
+		p.bt.SolveUpperPar(buf, buf, ws.pool, &ws.btri)
 	} else {
-		p.t.SolveLowerPar(buf, buf, workers, pool, sc)
-		p.t.SolveUpperPar(buf, buf, workers, pool, sc)
+		p.t.SolveLowerPar(buf, buf, ws.pool, &ws.tri)
+		p.t.SolveUpperPar(buf, buf, ws.pool, &ws.tri)
 	}
 	for i := range dst {
 		dst[i] = buf[p.perm[i]]
@@ -513,11 +503,11 @@ func (p *ic0) MemoryBytes() int64 {
 //
 // The iteration loop is allocation-free: the work vectors come from
 // Options.Work (or a per-call workspace when unset), the mat-vec runs
-// through a once-per-solve nnz-balanced partition, and a level-scheduled
-// preconditioner dispatches through the workspace's resident gang. With
-// Options.Work and Options.M both set, the entire steady-state solve
-// performs zero allocations (BenchmarkPCGNoAlloc); the returned solution
-// then aliases workspace memory — see Workspace.
+// through a once-per-solve nnz-balanced partition, and both it and a
+// level-scheduled preconditioner dispatch through the workspace's resident
+// pool. With Options.Work and Options.M both set, the entire steady-state
+// solve performs zero allocations (BenchmarkPCGNoAlloc); the returned
+// solution then aliases workspace memory — see Workspace.
 func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
 	n := a.NRows
 	if a.NCols != n || len(b) != n {
@@ -540,10 +530,11 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 	st.Precision = precisionOf(m)
 	ws := opt.Work
 	if ws == nil {
-		ws = &Workspace{}
+		ws = NewWorkspace(opt.Workers)
+		defer ws.Close()
 	}
 	ws.reset()
-	ws.prepMatVec(a, opt.MatBlocked, opt.Workers)
+	ws.prepMatVec(a, opt.MatBlocked)
 	wa, _ := m.(parApplier)
 
 	x := ws.vec(n)
@@ -557,7 +548,7 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 	p := ws.vec(n)
 	ap := ws.vec(n)
 
-	ws.matvec(a, r, x, opt.Workers)
+	ws.matvec(r, x)
 	linalg.Sub(r, b, r)
 	bnorm := linalg.Norm2(b)
 	if bnorm == 0 {
@@ -566,7 +557,7 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 	}
 	tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	if wa != nil {
-		wa.applyPar(z, r, opt.Workers, ws)
+		wa.applyPar(z, r, ws)
 	} else {
 		m.Apply(z, r)
 	}
@@ -574,7 +565,7 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 	copy(p, z)
 	rz := linalg.Dot(r, z)
 
-	outcome, it, res, pap := pcgSteady(a, b, m, wa, ws, &st, opt, x, r, z, p, ap, bnorm, rz)
+	outcome, it, res, pap := pcgSteady(b, m, wa, ws, &st, opt, x, r, z, p, ap, bnorm, rz)
 	switch outcome {
 	case pcgConverged:
 		st.Iterations, st.Residual, st.Converged = it, res, true
@@ -630,8 +621,8 @@ const pcgDriftFactor = 10
 // scratch (the ap vector between mat-vecs).
 //
 //stressvet:noalloc
-func pcgTrueResidual(a *sparse.CSR, ws *Workspace, opt Options, x, b, scratch []float64, bnorm float64) float64 {
-	ws.matvec(a, scratch, x, opt.Workers)
+func pcgTrueResidual(ws *Workspace, x, b, scratch []float64, bnorm float64) float64 {
+	ws.matvec(scratch, x)
 	var ss float64
 	for i := range b {
 		d := b[i] - scratch[i]
@@ -655,7 +646,7 @@ func pcgTrueResidual(a *sparse.CSR, ws *Workspace, opt Options, x, b, scratch []
 // back to a float64 factor.
 //
 //stressvet:noalloc
-func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *Workspace, st *Stats, opt Options, x, r, z, p, ap []float64, bnorm, rz float64) (outcome pcgOutcome, it int, res, pap float64) {
+func pcgSteady(b []float64, m Preconditioner, wa parApplier, ws *Workspace, st *Stats, opt Options, x, r, z, p, ap []float64, bnorm, rz float64) (outcome pcgOutcome, it int, res, pap float64) {
 	verify := st.Precision == PrecisionFloat32
 	for it = 0; it < opt.MaxIter; it++ {
 		res = linalg.Norm2(r) / bnorm
@@ -666,7 +657,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 			}
 			// The recurrence claims convergence on a rounded factor: trust
 			// only the true residual.
-			trueRes := pcgTrueResidual(a, ws, opt, x, b, ap, bnorm)
+			trueRes := pcgTrueResidual(ws, x, b, ap, bnorm)
 			if trueRes <= opt.Tol {
 				return pcgConverged, it, trueRes, 0
 			}
@@ -677,7 +668,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 			res = trueRes
 		} else if verify && it > 0 && it%pcgVerifyEvery == 0 {
 			// Long solves: catch recurrence drift before a false convergence.
-			trueRes := pcgTrueResidual(a, ws, opt, x, b, ap, bnorm)
+			trueRes := pcgTrueResidual(ws, x, b, ap, bnorm)
 			if trueRes > pcgDriftFactor*res && st.Refinements < pcgMaxRefinements {
 				refine = true
 				res = trueRes
@@ -696,7 +687,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 			linalg.Sub(r, b, ap)
 			tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 			if wa != nil {
-				wa.applyPar(z, r, opt.Workers, ws)
+				wa.applyPar(z, r, ws)
 			} else {
 				m.Apply(z, r)
 			}
@@ -705,7 +696,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 			rz = linalg.Dot(r, z)
 			continue
 		}
-		ws.matvec(a, ap, p, opt.Workers)
+		ws.matvec(ap, p)
 		pap = linalg.Dot(p, ap)
 		if pap <= 0 {
 			return pcgBreakdown, it, res, pap
@@ -715,7 +706,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 		linalg.Axpy(-alpha, ap, r)
 		tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		if wa != nil {
-			wa.applyPar(z, r, opt.Workers, ws)
+			wa.applyPar(z, r, ws)
 		} else {
 			m.Apply(z, r)
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sparse"
 )
@@ -62,10 +63,9 @@ func abs(x float64) float64 {
 }
 
 // TestIC0ParallelBitwiseMatchesSerial is the issue's correctness contract
-// for the level-scheduled preconditioner: across random SPD systems, worker
-// counts (1, 2, GOMAXPROCS, 8), dispatch modes (spawn and resident pool),
-// and degenerate shapes (diagonal, single dense row), the parallel apply
-// must be bitwise identical to the serial reference.
+// for the level-scheduled preconditioner: across random SPD systems, pool
+// sizes (1, 2, GOMAXPROCS, 8), and degenerate shapes (diagonal, single dense
+// row), the pooled apply must be bitwise identical to the serial reference.
 func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	systems := map[string]*sparse.CSR{
@@ -88,17 +88,11 @@ func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 			r[i] = rng.NormFloat64()
 		}
 		want := make([]float64, n)
-		p.applyPar(want, r, 1, nil) // serial reference
+		p.Apply(want, r) // serial reference
 		for _, w := range workerCounts {
 			got := make([]float64, n)
-			p.applyPar(got, r, w, nil)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s spawn workers=%d: dst[%d] = %x, want %x", name, w, i, got[i], want[i])
-				}
-			}
 			ws := NewWorkspace(w)
-			p.applyPar(got, r, w, ws)
+			p.applyPar(got, r, ws)
 			ws.Close()
 			for i := range want {
 				if got[i] != want[i] {
@@ -299,5 +293,62 @@ func TestRCMFragmented(t *testing.T) {
 	pm := m.ToCSC().Permute(perm).ToCSR()
 	if bw := Bandwidth(pm); bw > 2 {
 		t.Errorf("fragmented RCM bandwidth %d, want ≤ 2", bw)
+	}
+}
+
+// TestPerSolvePoolNeverLeaks: with Options.Work nil, PCG and GMRES run on a
+// workspace whose resident pool they create themselves; every goroutine of
+// that pool must be gone once the solve returns, on convergence and on the
+// MaxIter error return alike.
+func TestPerSolvePoolNeverLeaks(t *testing.T) {
+	a := latticeLike(16, 16, 6)
+	m, err := NewPreconditioner(PrecondIC0, OrderingMulticolor, PrecisionAuto, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The factor's level schedule must actually fan out, so the gang runs
+	// chunks rather than idling.
+	var sched *sparse.LevelSchedule
+	if p := m.(*ic0); p.bt != nil {
+		sched = p.bt.Fwd
+	} else {
+		sched = p.t.Fwd
+	}
+	fansOut := false
+	for l := 0; l+1 < len(sched.LevelChunk); l++ {
+		if sched.LevelChunk[l+1]-sched.LevelChunk[l] > 1 {
+			fansOut = true
+		}
+	}
+	if !fansOut {
+		t.Fatal("multicolor schedule has no multi-chunk level; the system is too small to exercise the pool")
+	}
+	b := make([]float64, a.NRows)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	solvers := map[string]func(*sparse.CSR, []float64, []float64, Options) ([]float64, Stats, error){
+		"PCG": PCG, "GMRES": GMRES,
+	}
+	for name, solve := range solvers {
+		for _, maxIter := range []int{0, 1} {
+			base := runtime.NumGoroutine()
+			opt := Options{Tol: 1e-8, MaxIter: maxIter, Precond: PrecondIC0, M: m, Workers: 4}
+			_, st, err := solve(a, b, nil, opt)
+			if maxIter == 0 && (err != nil || !st.Converged) {
+				t.Fatalf("%s: converged=%v err=%v, want a converged solve", name, st.Converged, err)
+			}
+			if maxIter == 1 && err == nil {
+				t.Fatalf("%s MaxIter=1: want a non-convergence error", name)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s MaxIter=%d: %d goroutines after the solve, %d before: the per-solve pool leaked",
+						name, maxIter, runtime.NumGoroutine(), base)
+				}
+				runtime.Gosched()
+			}
+		}
 	}
 }

@@ -7,13 +7,17 @@ import (
 
 // Workspace pools the state an iterative solve reuses across calls: the work
 // vectors, the GMRES Hessenberg, the pooled matrix-vector op with its
-// nnz-balanced row partition, the triangular-solve scratch, and (optionally)
-// a resident sparse.Pool worker gang. With a Workspace in Options.Work and a
-// prebuilt preconditioner in Options.M, the PCG hot loop performs zero
-// allocations in steady state — no vector makes, no closure per mat-vec, no
-// goroutine fan-out when the gang is resident (see BenchmarkPCGNoAlloc).
+// nnz-balanced row partition, the triangular-solve scratch, and the resident
+// sparse.Pool every parallel kernel of the solve dispatches through. Every
+// PCG and GMRES solve runs on one: Options.Work supplies a reusable
+// workspace, and without it the solver creates one per call. With a
+// Workspace in Options.Work and a prebuilt preconditioner in Options.M, the
+// PCG hot loop performs zero allocations in steady state — no vector makes,
+// no closure per mat-vec, no goroutine fan-out (see BenchmarkPCGNoAlloc).
 //
-// A Workspace serves one solve at a time; it is not safe for concurrent use.
+// Create one with NewWorkspace; the zero value has no pool and is not
+// usable. A Workspace serves one solve at a time; it is not safe for
+// concurrent use.
 // The solution slice returned by a workspace-backed solve is owned by the
 // workspace and is only valid until its next solve — copy it to retain it.
 type Workspace struct {
@@ -22,18 +26,14 @@ type Workspace struct {
 	vecs [][]float64
 	used int
 
-	mv       sparse.MatVec
-	mvBounds []int32
-	mvReady  bool
-	// Blocked mat-vec binding: when prepMatVec receives the 3×3-tiled form
-	// of the matrix, matvec runs the blocked kernel instead — pooled over
-	// tile-balanced block-row chunks when the gang is resident, serial
-	// otherwise. bmFor records which CSR the binding stands in for.
+	// The mat-vec binding of the current solve, with its work-balanced
+	// chunk partition: the scalar op, or the blocked one (blocked set) when
+	// prepMatVec received the 3×3-tiled form of the matrix.
+	mv        sparse.MatVec
+	mvBounds  []int32
 	bmv       sparse.BlockMatVec
 	bmvBounds []int32
-	bmvReady  bool
-	bm        *sparse.BCSR
-	bmFor     *sparse.CSR
+	blocked   bool
 	tri       sparse.TriScratch
 	btri      sparse.BlockTriScratch
 	// permBuf is the scratch of permuted preconditioner applications
@@ -45,36 +45,25 @@ type Workspace struct {
 	h *linalg.Dense // GMRES Hessenberg, reused when the restart length matches
 }
 
-// NewWorkspace creates a workspace. workers > 1 starts a resident gang of
-// workers−1 goroutines (plus the solving goroutine) so parallel kernels
-// dispatch without spawning; Close must be called to release them. workers
-// ≤ 1 creates a serial workspace that still pools vectors.
+// NewWorkspace creates a workspace around a resident pool of the given total
+// parallelism: workers−1 goroutines plus the solving goroutine, so parallel
+// kernels dispatch without spawning. workers ≤ 1 gives a serial workspace
+// that starts no goroutines. Close releases the pool's goroutines.
 func NewWorkspace(workers int) *Workspace {
-	w := &Workspace{}
-	if workers > 1 {
-		w.pool = sparse.NewPool(workers)
-	}
-	return w
+	return &Workspace{pool: sparse.NewPool(workers)}
 }
 
-// Close releases the resident worker gang, if any. The workspace remains
-// usable afterwards (serially).
-func (w *Workspace) Close() {
-	if w.pool != nil {
-		w.pool.Close()
-		w.pool = nil
-	}
-}
+// Close releases the resident worker gang. The workspace remains usable
+// afterwards (serially); Close is idempotent.
+func (w *Workspace) Close() { w.pool.Close() }
 
 // reset starts a new solve: every pooled vector returns to the free list and
-// the mat-vec bindings are cleared.
+// the mat-vec binding is cleared.
 func (w *Workspace) reset() {
 	w.used = 0
-	w.mvReady = false
 	w.mv = sparse.MatVec{}
-	w.bmvReady = false
 	w.bmv = sparse.BlockMatVec{}
-	w.bm, w.bmFor = nil, nil
+	w.blocked = false
 }
 
 // vec returns a length-n scratch vector with unspecified contents (callers
@@ -107,60 +96,38 @@ func (w *Workspace) permScratch(n int) []float64 {
 }
 
 // prepMatVec binds the matrix-vector product to a for the duration of a
-// solve: the work-balanced row partition is computed once here and reused by
-// every matvec call of the solve. When bm supplies the 3×3-tiled form of the
-// same matrix, the blocked kernel takes over — the partition is then over
-// block rows, weighted by tile count (the blocked work profile), and the
-// serial path runs the tiled kernel too.
-func (w *Workspace) prepMatVec(a *sparse.CSR, bm *sparse.BCSR, workers int) {
-	w.mvReady = false
-	w.bmvReady = false
-	w.bm, w.bmFor = nil, nil
+// solve: the work-balanced row partition — one chunk per pool worker, a
+// single chunk below MinParRows — is computed once here and reused by every
+// matvec call of the solve. When bm supplies the 3×3-tiled form of the same
+// matrix, the blocked kernel takes over, partitioned over block rows
+// weighted by tile count (the blocked work profile).
+func (w *Workspace) prepMatVec(a *sparse.CSR, bm *sparse.BCSR) {
+	parts := w.pool.Workers()
+	if a.NRows < sparse.MinParRows {
+		parts = 1
+	}
 	if bm != nil && bm.NRows == a.NRows && bm.NCols == a.NCols {
-		w.bm, w.bmFor = bm, a
-		if w.pool == nil || workers <= 1 || a.NRows < sparse.MinParRows {
-			return
-		}
-		if pw := w.pool.Workers(); workers > pw {
-			workers = pw
-		}
-		w.bmvBounds = sparse.PartitionByWorkInto(w.bmvBounds, bm.BRowPtr, 0, bm.NBRows(), workers)
+		w.bmvBounds = sparse.PartitionByWorkInto(w.bmvBounds, bm.BRowPtr, 0, bm.NBRows(), parts)
 		w.bmv.M = bm
-		w.bmvReady = true
+		w.blocked = true
 		return
 	}
-	if w.pool == nil || workers <= 1 || a.NRows < sparse.MinParRows {
-		return
-	}
-	if pw := w.pool.Workers(); workers > pw {
-		workers = pw
-	}
-	w.mvBounds = sparse.PartitionByWorkInto(w.mvBounds, a.RowPtr, 0, a.NRows, workers)
+	w.mvBounds = sparse.PartitionByWorkInto(w.mvBounds, a.RowPtr, 0, a.NRows, parts)
 	w.mv.M = a
-	w.mvReady = true
 }
 
-// matvec computes dst = a·x, preferring the blocked binding when prepMatVec
-// installed one for this matrix, then the pooled scalar binding
-// (allocation-free), falling back to MulVecPar otherwise.
+// matvec computes dst = A·x for the matrix prepMatVec bound, through the
+// pool (allocation-free).
 //
 //stressvet:noalloc
-func (w *Workspace) matvec(a *sparse.CSR, dst, x []float64, workers int) {
-	if w.bmFor == a {
-		if w.bmvReady {
-			w.bmv.Dst, w.bmv.X = dst, x
-			w.pool.Run(w.bmvBounds, &w.bmv)
-			return
-		}
-		w.bm.MulVecPar(dst, x, workers)
+func (w *Workspace) matvec(dst, x []float64) {
+	if w.blocked {
+		w.bmv.Dst, w.bmv.X = dst, x
+		w.pool.Run(w.bmvBounds, &w.bmv)
 		return
 	}
-	if w.mvReady && w.mv.M == a {
-		w.mv.Dst, w.mv.X = dst, x
-		w.pool.Run(w.mvBounds, &w.mv)
-		return
-	}
-	a.MulVecPar(dst, x, workers)
+	w.mv.Dst, w.mv.X = dst, x
+	w.pool.Run(w.mvBounds, &w.mv)
 }
 
 // hessenberg returns a pooled (rows × cols) dense matrix for GMRES.

@@ -169,9 +169,9 @@ func TestBCSRFillAndMemory(t *testing.T) {
 }
 
 // TestBCSRMulVecParBitwiseMatchesSerial: partitioning never splits a block
-// row, so every worker count and dispatch mode must reproduce the serial
-// blocked matvec bit for bit. The matrix clears MinParRows so the parallel
-// path actually engages.
+// row, so the pooled blocked matvec must reproduce the serial one bit for
+// bit at every pool size and chunk count. The matrix clears MinParRows, the
+// size at which the solver workspace starts to split the mat-vec.
 func TestBCSRMulVecParBitwiseMatchesSerial(t *testing.T) {
 	m := blockCSR(3*((MinParRows+3000)/3), 9, 31)
 	b, err := NewBCSR(m)
@@ -195,13 +195,10 @@ func TestBCSRMulVecParBitwiseMatchesSerial(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0), 8} {
 		got := make([]float64, m.NRows)
-		b.MulVecPar(got, x, w)
-		check("spawn", w, got)
-
-		// The pooled path the solver Workspace drives: explicit chunk
-		// bounds through a resident pool.
+		// The path the solver Workspace drives: tile-balanced chunk bounds
+		// through a resident pool.
 		pool := NewPool(w)
-		for _, parts := range []int{1, 3, 16} {
+		for _, parts := range []int{1, 3, w, 16} {
 			for i := range got {
 				got[i] = -1
 			}
@@ -430,22 +427,20 @@ func TestBlockLowerTriParBitwiseMatchesSerial(t *testing.T) {
 			}
 			for _, w := range workerCounts {
 				got := make([]float64, n)
-				bt.SolveLowerPar(got, b, w, nil, nil)
-				check("lower/spawn", w, got, wantL)
-				bt.SolveUpperPar(got, b, w, nil, nil)
-				check("upper/spawn", w, got, wantU)
-
 				pool := NewPool(w)
 				var sc BlockTriScratch
-				bt.SolveLowerPar(got, b, w, pool, &sc)
+				bt.SolveLowerPar(got, b, pool, &sc)
 				check("lower/pool", w, got, wantL)
-				bt.SolveUpperPar(got, b, w, pool, &sc)
+				bt.SolveUpperPar(got, b, pool, &sc)
 				check("upper/pool", w, got, wantU)
 				pool.Close()
 			}
 			inPlace := make([]float64, n)
 			copy(inPlace, b)
-			bt.SolveLowerPar(inPlace, inPlace, 4, nil, nil)
+			pool := NewPool(4)
+			var sc BlockTriScratch
+			bt.SolveLowerPar(inPlace, inPlace, pool, &sc)
+			pool.Close()
 			check("lower/in-place", 4, inPlace, wantL)
 		}
 	}

@@ -30,16 +30,21 @@ func BenchmarkSpMVSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkSpMVParallel runs the pooled mat-vec the solver workspace
+// dispatches: nnz-balanced chunks through a resident 8-worker pool.
 func BenchmarkSpMVParallel(b *testing.B) {
 	m := benchCSR(100000, 27)
 	x := make([]float64, m.NCols)
 	for i := range x {
 		x[i] = float64(i % 7)
 	}
-	dst := make([]float64, m.NRows)
+	pool := NewPool(8)
+	defer pool.Close()
+	bounds := PartitionByWork(m.RowPtr, 0, m.NRows, pool.Workers())
+	op := &MatVec{M: m, Dst: make([]float64, m.NRows), X: x}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MulVecPar(dst, x, 8)
+		pool.Run(bounds, op)
 	}
 }
 
@@ -80,7 +85,8 @@ func nodeBlockCSR(nx, ny int) *CSR {
 // ~1.16M nnz): one index per tile instead of per scalar is ~1/3 the index
 // traffic, and the unrolled tile kernel keeps three running sums. Run with
 // -cpu 1,4: the serial rows isolate the kernel, the par rows add the
-// nnz-balanced fan-out (which partitions by block-nnz on the tiled path).
+// nnz-balanced fan-out through a resident pool, as the solver workspace
+// dispatches it (partitioned by block-nnz on the tiled path).
 func BenchmarkBlockedMulVec(b *testing.B) {
 	m := nodeBlockCSR(120, 120)
 	bm, err := NewBCSR(m)
@@ -92,7 +98,8 @@ func BenchmarkBlockedMulVec(b *testing.B) {
 		x[i] = float64(i%7) - 3
 	}
 	dst := make([]float64, m.NRows)
-	workers := runtime.GOMAXPROCS(0)
+	pool := NewPool(runtime.GOMAXPROCS(0))
+	defer pool.Close()
 	b.Run("scalar/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.MulVec(dst, x)
@@ -104,13 +111,19 @@ func BenchmarkBlockedMulVec(b *testing.B) {
 		}
 	})
 	b.Run("scalar/par", func(b *testing.B) {
+		bounds := PartitionByWork(m.RowPtr, 0, m.NRows, pool.Workers())
+		op := &MatVec{M: m, Dst: dst, X: x}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.MulVecPar(dst, x, workers)
+			pool.Run(bounds, op)
 		}
 	})
 	b.Run("blocked/par", func(b *testing.B) {
+		bounds := PartitionByWork(bm.BRowPtr, 0, bm.NBRows(), pool.Workers())
+		op := &BlockMatVec{M: bm, Dst: dst, X: x}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bm.MulVecPar(dst, x, workers)
+			pool.Run(bounds, op)
 		}
 	})
 }

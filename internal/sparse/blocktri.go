@@ -321,26 +321,26 @@ func (o *blockTriRun) RunRange(lo, hi int) {
 }
 
 // SolveLowerPar solves L·dst = b with the forward block-level schedule;
-// semantics match LowerTri.SolveLowerPar (pool-dispatched when pool is
-// non-nil, serial fallback for narrow schedules, bitwise identical to
-// SolveLower for every worker count). sc may be nil when pool is nil.
+// semantics match LowerTri.SolveLowerPar (pool-dispatched, serial for a
+// one-worker pool or a narrow schedule, bitwise identical to SolveLower for
+// every pool size).
 //
 //stressvet:noalloc
-func (t *BlockLowerTri) SolveLowerPar(dst, b []float64, workers int, pool *Pool, sc *BlockTriScratch) {
-	t.solvePar(t.Fwd, dst, b, false, workers, pool, sc)
+func (t *BlockLowerTri) SolveLowerPar(dst, b []float64, pool *Pool, sc *BlockTriScratch) {
+	t.solvePar(t.Fwd, dst, b, false, pool, sc)
 }
 
 // SolveUpperPar solves Lᵀ·dst = b with the backward block-level schedule;
 // see SolveLowerPar.
 //
 //stressvet:noalloc
-func (t *BlockLowerTri) SolveUpperPar(dst, b []float64, workers int, pool *Pool, sc *BlockTriScratch) {
-	t.solvePar(t.Bwd, dst, b, true, workers, pool, sc)
+func (t *BlockLowerTri) SolveUpperPar(dst, b []float64, pool *Pool, sc *BlockTriScratch) {
+	t.solvePar(t.Bwd, dst, b, true, pool, sc)
 }
 
 //stressvet:noalloc
-func (t *BlockLowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, workers int, pool *Pool, sc *BlockTriScratch) {
-	if workers <= 1 || !s.parallel {
+func (t *BlockLowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, pool *Pool, sc *BlockTriScratch) {
+	if pool.Workers() <= 1 || !s.parallel {
 		if upper {
 			t.SolveUpper(dst, b)
 		} else {
@@ -348,11 +348,7 @@ func (t *BlockLowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool,
 		}
 		return
 	}
-	scratch := sc
-	if scratch == nil {
-		scratch = new(BlockTriScratch) //stressvet:allow noalloc -- fallback when the caller passes no scratch; pooled hot paths always do
-	}
-	op := &scratch.op
+	op := &sc.op
 	*op = blockTriRun{t: t, order: s.Order, dst: dst, b: b, upper: upper}
 	for l := 0; l < s.NumLevels(); l++ {
 		bounds := s.levelBounds(l)
@@ -360,11 +356,7 @@ func (t *BlockLowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool,
 			op.RunRange(int(bounds[0]), int(bounds[1]))
 			continue
 		}
-		if pool != nil {
-			pool.Run(bounds, op)
-		} else {
-			parallelChunks(bounds, workers, op)
-		}
+		pool.Run(bounds, op)
 	}
 	*op = blockTriRun{}
 }

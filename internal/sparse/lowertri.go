@@ -135,7 +135,7 @@ func (t *LowerTri) SolveUpper(dst, b []float64) {
 
 // TriScratch carries the per-caller state of the parallel triangular solves
 // (the dispatched op struct), so a cached, shared LowerTri needs no internal
-// mutable state and pooled solves allocate nothing. A TriScratch must not be
+// mutable state and the solves allocate nothing. A TriScratch must not be
 // used by two solves concurrently; the zero value is ready to use.
 type TriScratch struct {
 	op triRun
@@ -167,29 +167,28 @@ func (o *triRun) RunRange(lo, hi int) {
 }
 
 // SolveLowerPar solves L·dst = b with the forward level schedule: levels run
-// in order, rows within a level in parallel across at most workers
-// goroutines (through pool when non-nil — allocation-free — or spawned
-// otherwise). Levels too narrow to pay for fan-out run inline serially, and
-// a schedule with no parallelizable level at all falls back to the plain
-// serial loop. Results are bitwise identical to SolveLower for every worker
-// count. sc may be nil when pool is nil. dst and b may alias.
+// in order, the chunks of one level in parallel through pool (allocation-
+// free: sc carries the dispatched op). Levels too narrow to pay for a
+// dispatch run inline, and a one-worker pool or a schedule with no
+// parallelizable level at all runs the plain serial loop. Results are
+// bitwise identical to SolveLower for every pool size. dst and b may alias.
 //
 //stressvet:noalloc
-func (t *LowerTri) SolveLowerPar(dst, b []float64, workers int, pool *Pool, sc *TriScratch) {
-	t.solvePar(t.Fwd, dst, b, false, workers, pool, sc)
+func (t *LowerTri) SolveLowerPar(dst, b []float64, pool *Pool, sc *TriScratch) {
+	t.solvePar(t.Fwd, dst, b, false, pool, sc)
 }
 
 // SolveUpperPar solves Lᵀ·dst = b with the backward level schedule; see
 // SolveLowerPar.
 //
 //stressvet:noalloc
-func (t *LowerTri) SolveUpperPar(dst, b []float64, workers int, pool *Pool, sc *TriScratch) {
-	t.solvePar(t.Bwd, dst, b, true, workers, pool, sc)
+func (t *LowerTri) SolveUpperPar(dst, b []float64, pool *Pool, sc *TriScratch) {
+	t.solvePar(t.Bwd, dst, b, true, pool, sc)
 }
 
 //stressvet:noalloc
-func (t *LowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, workers int, pool *Pool, sc *TriScratch) {
-	if workers <= 1 || !s.parallel {
+func (t *LowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, pool *Pool, sc *TriScratch) {
+	if pool.Workers() <= 1 || !s.parallel {
 		if upper {
 			t.SolveUpper(dst, b)
 		} else {
@@ -197,14 +196,10 @@ func (t *LowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, work
 		}
 		return
 	}
-	scratch := sc
-	if scratch == nil {
-		scratch = new(TriScratch) //stressvet:allow noalloc -- fallback when the caller passes no scratch; pooled hot paths always do
-	}
 	// A plain pointer dispatched through the Runner interface: no closures,
-	// so the allocation-free pooled path stays allocation-free (a captured
-	// variable cell would be heap-allocated on every call, serial included).
-	op := &scratch.op
+	// so the pooled path stays allocation-free (a captured variable cell
+	// would be heap-allocated on every call, serial included).
+	op := &sc.op
 	*op = triRun{t: t, order: s.Order, dst: dst, b: b, upper: upper}
 	for l := 0; l < s.NumLevels(); l++ {
 		bounds := s.levelBounds(l)
@@ -213,11 +208,7 @@ func (t *LowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, work
 			op.RunRange(int(bounds[0]), int(bounds[1]))
 			continue
 		}
-		if pool != nil {
-			pool.Run(bounds, op)
-		} else {
-			parallelChunks(bounds, workers, op)
-		}
+		pool.Run(bounds, op)
 	}
 	*op = triRun{}
 }

@@ -128,11 +128,11 @@ func TestParallelChunksCoversAll(t *testing.T) {
 		n := 1000
 		hit := make([]int32, n)
 		bounds := []int32{0, 100, 101, 500, 1000}
-		parallelChunks(bounds, workers, funcRunner(func(lo, hi int) {
+		ParallelChunks(bounds, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hit[i]++
 			}
-		}))
+		})
 		for i, h := range hit {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
@@ -234,9 +234,9 @@ func TestLowerTriSolvesInverse(t *testing.T) {
 }
 
 // TestLowerTriParBitwiseMatchesSerial is the level-scheduling correctness
-// contract: for every matrix shape, worker count, and dispatch mode (spawn
-// and pool), the parallel solves must be bitwise identical to the serial
-// reference — the row kernel is shared, only the schedule differs.
+// contract: for every matrix shape and pool size, the pooled solves must be
+// bitwise identical to the serial reference — the row kernel is shared, only
+// the schedule differs.
 func TestLowerTriParBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
@@ -261,23 +261,21 @@ func TestLowerTriParBitwiseMatchesSerial(t *testing.T) {
 		}
 		for _, w := range workerCounts {
 			got := make([]float64, n)
-			tri.SolveLowerPar(got, b, w, nil, nil)
-			check("lower/spawn", w, got, wantL)
-			tri.SolveUpperPar(got, b, w, nil, nil)
-			check("upper/spawn", w, got, wantU)
-
 			pool := NewPool(w)
 			var sc TriScratch
-			tri.SolveLowerPar(got, b, w, pool, &sc)
+			tri.SolveLowerPar(got, b, pool, &sc)
 			check("lower/pool", w, got, wantL)
-			tri.SolveUpperPar(got, b, w, pool, &sc)
+			tri.SolveUpperPar(got, b, pool, &sc)
 			check("upper/pool", w, got, wantU)
 			pool.Close()
 		}
 		// In-place: dst aliasing b must give the same bits.
 		inPlace := make([]float64, n)
 		copy(inPlace, b)
-		tri.SolveLowerPar(inPlace, inPlace, 4, nil, nil)
+		pool := NewPool(4)
+		var sc TriScratch
+		tri.SolveLowerPar(inPlace, inPlace, pool, &sc)
+		pool.Close()
 		check("lower/in-place", 4, inPlace, wantL)
 	}
 }

@@ -5,10 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// MinParRows is the matrix size below which the parallel kernels fall back
-// to their serial loops: under it the goroutine fan-out costs more than the
-// arithmetic it distributes. Exported so solver workspaces apply the same
-// cutoff to their pooled kernels.
+// MinParRows is the matrix size below which a solver workspace runs its
+// pooled mat-vec as a single chunk: under it the dispatch costs more than
+// the arithmetic it distributes.
 const MinParRows = 4096
 
 // PartitionByWork splits the index range [lo, hi) into at most parts
@@ -20,8 +19,8 @@ const MinParRows = 4096
 // degenerate range (hi ≤ lo) yields no boundaries at all — zero chunks,
 // which every dispatcher in this package treats as a no-op. Structured
 // FEM matrices have heavy boundary rows, so equal-count row chunks can be
-// 2× imbalanced where equal-nnz chunks are not; every parallel row sweep in
-// this package (MulVecPar, the level-scheduled triangular solves) partitions
+// 2× imbalanced where equal-nnz chunks are not; every parallel row sweep
+// (the pooled mat-vecs, the level-scheduled triangular solves) partitions
 // through here.
 func PartitionByWork(pref []int32, lo, hi, parts int) []int32 {
 	return partitionByWork(nil, pref, lo, hi, parts)
@@ -76,27 +75,14 @@ func partitionByWork(dst []int32, pref []int32, lo, hi, parts int) []int32 {
 
 // ParallelChunks runs fn over each [bounds[i], bounds[i+1]) chunk — bounds
 // as PartitionByWork returns them — using at most workers goroutines
-// including the caller, and waits for completion. It is the spawn-per-call
-// dispatch for one-shot builds outside this package (the global assembly);
-// hot loops use a resident Pool instead.
-func ParallelChunks(bounds []int32, workers int, fn func(lo, hi int)) {
-	parallelChunks(bounds, workers, funcRunner(fn))
-}
-
-// funcRunner adapts a plain chunk function to the Runner interface.
-type funcRunner func(lo, hi int)
-
-// RunRange implements Runner.
-func (f funcRunner) RunRange(lo, hi int) { f(lo, hi) }
-
-// parallelChunks runs r over each [bounds[i], bounds[i+1]) chunk using at
-// most workers goroutines (including the caller), waiting for completion.
-// Chunks are claimed through an atomic cursor so a worker finishing early
-// steals the remainder. This is the spawn-per-call dispatch; hot loops use
-// a resident Pool instead.
+// including the caller, and waits for completion. Chunks are claimed through
+// an atomic cursor so a worker finishing early steals the remainder. It
+// spawns its goroutines per call, so it serves one-shot builds outside this
+// package (the global assembly); the solver hot loops dispatch through a
+// resident Pool instead.
 //
 //stressvet:gang -- workers-1 goroutines; the caller participates as the last worker
-func parallelChunks(bounds []int32, workers int, r Runner) {
+func ParallelChunks(bounds []int32, workers int, fn func(lo, hi int)) {
 	n := len(bounds) - 1
 	if n < 1 {
 		return
@@ -106,7 +92,7 @@ func parallelChunks(bounds []int32, workers int, r Runner) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			r.RunRange(int(bounds[i]), int(bounds[i+1]))
+			fn(int(bounds[i]), int(bounds[i+1]))
 		}
 		return
 	}
@@ -117,7 +103,7 @@ func parallelChunks(bounds []int32, workers int, r Runner) {
 			if i >= n {
 				return
 			}
-			r.RunRange(int(bounds[i]), int(bounds[i+1]))
+			fn(int(bounds[i]), int(bounds[i+1]))
 		}
 	}
 	var wg sync.WaitGroup

@@ -19,11 +19,11 @@ type poolTask struct {
 }
 
 // Pool is a resident gang of worker goroutines for repeated parallel
-// kernels. Spawning goroutines per operation allocates (closures, stacks)
-// and that cost recurs every iteration of an iterative solver; a Pool pays
-// it once. A Pool serves one Run at a time — it is meant to be owned by a
-// single solve (via solver.Workspace), not shared. Close releases the
-// goroutines; a pool is not usable after Close.
+// kernels, and the one dispatcher of the solver hot loops. Spawning
+// goroutines per operation allocates (closures, stacks) and that cost recurs
+// every iteration of an iterative solver; a Pool pays it once. A Pool serves
+// one Run at a time — it is meant to be owned by a single solve (via
+// solver.Workspace), not shared. Close releases the goroutines.
 type Pool struct {
 	workers int
 	tasks   chan poolTask
@@ -101,8 +101,8 @@ func (p *Pool) Run(bounds []int32, r Runner) {
 }
 
 // Close stops the resident goroutines; a closed pool remains usable, with
-// Run executing serially on the calling goroutine. Close must not race a
-// Run and must not be called twice.
+// Run executing serially on the calling goroutine. Close is idempotent but
+// must not race a Run.
 func (p *Pool) Close() {
 	if p.tasks != nil {
 		close(p.tasks)

@@ -137,27 +137,6 @@ func (m *CSR) MulVec(dst, x []float64) {
 	}
 }
 
-// MulVecPar computes dst = m·x using at most nworkers goroutines over
-// contiguous row chunks balanced by nnz (structured FEM matrices have heavy
-// boundary rows, so equal-count chunks leave workers idle). It falls back to
-// the serial kernel for small matrices.
-func (m *CSR) MulVecPar(dst, x []float64, nworkers int) {
-	if nworkers <= 1 || m.NRows < MinParRows {
-		m.MulVec(dst, x)
-		return
-	}
-	bounds := PartitionByWork(m.RowPtr, 0, m.NRows, nworkers)
-	parallelChunks(bounds, nworkers, funcRunner(func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var s float64
-			for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-				s += m.Vals[p] * x[m.ColIdx[p]]
-			}
-			dst[r] = s
-		}
-	}))
-}
-
 // At returns element (r, c), 0 if not stored. O(log nnz(row)).
 func (m *CSR) At(r, c int) float64 {
 	lo, hi := int(m.RowPtr[r]), int(m.RowPtr[r+1])

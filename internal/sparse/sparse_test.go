@@ -112,12 +112,18 @@ func TestMulVecParMatchesSerial(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	serial := make([]float64, 5000)
-	par := make([]float64, 5000)
 	m.MulVec(serial, x)
-	m.MulVecPar(par, x, 8)
-	for i := range serial {
-		if serial[i] != par[i] {
-			t.Fatalf("parallel mismatch at %d", i)
+	// The pooled kernel the solver Workspace drives: nnz-balanced chunks
+	// through a resident pool.
+	for _, w := range []int{1, 8} {
+		pool := NewPool(w)
+		par := make([]float64, 5000)
+		pool.Run(PartitionByWork(m.RowPtr, 0, m.NRows, w), &MatVec{M: m, Dst: par, X: x})
+		pool.Close()
+		for i := range serial {
+			if serial[i] != par[i] {
+				t.Fatalf("workers=%d: parallel mismatch at %d", w, i)
+			}
 		}
 	}
 }
